@@ -14,7 +14,6 @@ from multilayer_gnn import (
     GnnConfig,
     cancer_neighbor_fraction,
     discover_candidates,
-    forward,
     gsea_prerank,
     ig_meta_edges,
     meta_edge_variability,
@@ -22,7 +21,6 @@ from multilayer_gnn import (
     planted_dataset,
     planted_gene_sets,
     prepare,
-    select_threshold,
     stratified_split,
     train,
 )
@@ -36,13 +34,8 @@ names = dataset.catalog.names
 # ---------------------------------------------------------------------------
 # 1. threshold for >= 95% precision on the labeled set, then discovery
 # ---------------------------------------------------------------------------
-probs = forward(params, cfg, dataset)
-labeled = dataset.labels.labeled_ids()
-targets = np.array([dataset.labels.labels[g] for g in labeled])
-threshold = select_threshold(probs[labeled], targets, precision_target=0.95)
-print(f"threshold for 95% labeled precision: {threshold:.4f}")
-
-result = discover_candidates(params, cfg, dataset, threshold)
+result = discover_candidates(params, cfg, dataset, precision_target=0.95)
+print(f"threshold for 95% labeled precision: {result.threshold:.4f}")
 print(f"candidates above threshold: {len(result.candidates)} of "
       f"{len(result.full_ranking)} unlabeled genes")
 hits = sum(truth.positive[g] for g, _ in result.candidates)
@@ -52,7 +45,7 @@ print(f"planted positives among them: {hits}/{len(result.candidates)}")
 # 2. neighborhood statistics: how positive-labeled is each gene's vicinity,
 #    and does it track the per-layer meta-edge importance?
 # ---------------------------------------------------------------------------
-some_gene = int(labeled[0])
+some_gene = int(dataset.labels.labeled_ids()[0])
 for lg in dataset.layers:
     frac = cancer_neighbor_fraction(dataset, some_gene, lg.layer_name)
     print(f"{names[some_gene]} positive-neighbor fraction in {lg.layer_name}: {frac:.3f}")

@@ -61,24 +61,27 @@ class ThresholdUnattainableError(DataError):
 
 
 def select_threshold(scores, labels, precision_target: float = 0.95) -> float:
-    """Smallest observed score t such that {score >= t} has precision >= target."""
+    """Smallest observed score t such that {score >= t} has precision >= target.
+
+    Ties are included: the set at or above a score holds every gene scoring
+    that score. One descending sort puts each such set in a prefix that ends
+    at its tie group's last position, so one cumulative sum gives the
+    precision of every candidate threshold.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be matching 1-D arrays")
     if not (labels == 1).any():
         raise ValueError("threshold selection needs at least one positive")
-    best = 0.0
-    chosen = None
-    for t in np.unique(scores):  # ascending candidate thresholds
-        sel = scores >= t
-        prec = float(labels[sel].sum() / sel.sum())
-        best = max(best, prec)
-        if prec >= precision_target and chosen is None:
-            chosen = float(t)
-    if chosen is None:
-        raise ThresholdUnattainableError(precision_target, best)
-    return chosen
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    group_end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    precision = np.cumsum(labels[order])[group_end] / (group_end + 1)
+    reached = ranked[group_end][precision >= precision_target]
+    if reached.size == 0:
+        raise ThresholdUnattainableError(precision_target, float(precision.max()))
+    return float(reached.min())
 
 
 @dataclass
@@ -89,9 +92,19 @@ class DiscoveryResult:
 
 
 def discover_candidates(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset,
-                        threshold: float) -> DiscoveryResult:
-    """Rank all unlabeled genes by predicted probability; filter by threshold."""
+                        threshold: float = None,
+                        precision_target: float = 0.95) -> DiscoveryResult:
+    """Rank all unlabeled genes by predicted probability; keep those scoring
+    at or above ``threshold``.
+
+    Without a threshold, :func:`select_threshold` picks it from the labeled
+    genes' scores of the same forward pass at ``precision_target``.
+    """
     probs = forward(params, cfg, dataset)
+    if threshold is None:
+        labeled = dataset.labels.labeled_ids()
+        targets = np.array([dataset.labels.labels[g] for g in labeled])
+        threshold = select_threshold(probs[labeled], targets, precision_target)
     names = dataset.catalog.names
     unlabeled = [g for g in range(dataset.n_genes) if dataset.labels.get(g) is None]
     full = RankedGeneList((names[g], probs[g]) for g in unlabeled)

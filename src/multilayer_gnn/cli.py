@@ -326,24 +326,17 @@ def cmd_explain(cfg, checkpoint, genes) -> int:
 
 
 def cmd_discover(cfg, checkpoint, threshold=None, precision_target=0.95) -> int:
-    import numpy as np
-
     from . import analysis as an
-    from .gnn import forward
 
     outdir = _outdir(cfg)
     _setup_logging(cfg.get("log_level", "info"), outdir)
     dataset = _load_dataset(cfg)
     params, model_cfg, _ = _load_checkpoint_for(cfg, checkpoint, dataset)
-    probs = forward(params, model_cfg, dataset)
+    result = an.discover_candidates(params, model_cfg, dataset, threshold, precision_target)
     if threshold is None:
-        labeled = dataset.labels.labeled_ids()
-        targets = np.array([dataset.labels.labels[g] for g in labeled])
-        threshold = an.select_threshold(probs[labeled], targets, precision_target)
         note = f"precision_target={precision_target}"
     else:
         note = "threshold_override=true"
-    result = an.discover_candidates(params, model_cfg, dataset, threshold)
     an.write_candidates_csv(result, outdir / "candidates.csv", header_note=note)
     an.write_ranking_csv(result.full_ranking, outdir / "unlabeled_ranking.csv")
     _echo_config(cfg, outdir)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import logging
 import math
 
@@ -64,6 +65,15 @@ class GeneCatalog:
         return name in self.index
 
 
+def _sorted_unique(values):
+    """``np.unique`` of a 1-D integer array, by one sort."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class LayerGraph:
     """One undirected gene-gene interaction network over catalog ids.
 
@@ -75,35 +85,37 @@ class LayerGraph:
 
     def __init__(self, layer_name: str, node_ids, edges):
         self.layer_name = layer_name
-        self.node_ids = np.unique(np.asarray(node_ids, dtype=np.intp))
+        self.node_ids = _sorted_unique(np.asarray(node_ids, dtype=np.intp).ravel())
+        n = self.node_ids.size
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         if edges.size:
             if (edges[:, 0] == edges[:, 1]).any():
                 raise DataError(f"layer {layer_name!r}: self-loops are not storable")
-            lo = edges.min(axis=1)
-            hi = edges.max(axis=1)
-            edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-            missing = np.setdiff1d(edges.ravel(), self.node_ids)
-            if missing.size:
+            # one int64 key per (min, max) pair: sorting the keys sorts the pairs
+            lo = np.minimum(edges[:, 0], edges[:, 1]).astype(np.int64)
+            hi = np.maximum(edges[:, 0], edges[:, 1]).astype(np.int64)
+            base = int(lo.min())
+            span = int(hi.max()) - base + 1
+            key = _sorted_unique((lo - base) * span + (hi - base))
+            edges = np.stack([key // span, key % span], axis=1).astype(np.intp) + base
+            local = np.searchsorted(self.node_ids, edges)
+            found = local < n
+            found[found] = self.node_ids[local[found]] == edges[found]
+            if not found.all():
                 raise DataError(
-                    f"layer {layer_name!r}: edge endpoint {missing[0]} not in node set"
+                    f"layer {layer_name!r}: edge endpoint {edges[~found].min()} not in node set"
                 )
         self.edges = edges
 
-        # layer-local CSR over both edge directions
-        n = self.node_ids.size
+        # layer-local CSR over both edge directions, rows and columns ascending
         if self.edges.size:
-            u = np.searchsorted(self.node_ids, self.edges[:, 0])
-            v = np.searchsorted(self.node_ids, self.edges[:, 1])
-            dst = np.concatenate([u, v])
-            src = np.concatenate([v, u])
-            order = np.lexsort((src, dst))
-            dst, src = dst[order], src[order]
+            u, v = local[:, 0], local[:, 1]
+            key = np.sort(np.concatenate([u * n + v, v * n + u]))
+            dst, src = key // n, key % n
         else:
             dst = src = np.empty(0, dtype=np.intp)
         self.csr_indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(self.csr_indptr, dst + 1, 1)
-        self.csr_indptr = np.cumsum(self.csr_indptr)
+        np.cumsum(np.bincount(dst, minlength=n), out=self.csr_indptr[1:])
         self.csr_indices = src
 
     @property
@@ -242,41 +254,58 @@ class GeneSetCollection:
 # ---------------------------------------------------------------------------
 
 def _data_lines(path):
+    """(line number, line) of every line that is neither blank nor a '#'
+    comment; both may be indented."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
+            head = line.lstrip()
+            if head and head[0] != "#":
+                yield lineno, line
+
+
+def _two_columns(line, path, lineno):
+    """Split on the tab if the line has exactly one, else on whitespace."""
+    fields = line.split("\t")
+    if len(fields) != 2:
+        fields = line.split()
+    if len(fields) != 2:
+        raise DataError(f"expected 2 columns, got {len(fields)}", path=path, line=lineno)
+    return fields
 
 
 def load_layer_graph(path, catalog: GeneCatalog, layer_name: str) -> LayerGraph:
-    """Parse an edge list; unseen gene names are appended to the catalog.
+    """Parse an edge list; unseen gene names are appended to the catalog in
+    the order they first appear.
 
     Undirected duplicates (including reversed pairs) collapse to one edge;
     self-loop lines register the node but store no edge.
     """
-    nodes = set()
-    edges = []
-    saw_data = False
+    names = []  # both endpoints of every data line, in file order
     for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            fields = line.split()
-        if len(fields) != 2:
-            raise DataError(
-                f"expected 2 columns, got {len(fields)}", path=path, line=lineno
-            )
-        saw_data = True
-        a = catalog.add(fields[0])
-        b = catalog.add(fields[1])
-        nodes.add(a)
-        nodes.add(b)
-        if a != b:
-            edges.append((min(a, b), max(a, b)))
-    if not saw_data:
+        names += _two_columns(line, path, lineno)
+    if not names:
         raise DataError("edge file contains no edges", path=path)
-    return LayerGraph(layer_name, sorted(nodes), np.array(edges, dtype=np.intp).reshape(-1, 2))
+    for name in dict.fromkeys(names):
+        catalog.add(name)
+    pairs = np.fromiter(map(catalog.index.__getitem__, names), dtype=np.intp,
+                        count=len(names)).reshape(-1, 2)
+    return LayerGraph(layer_name, pairs.ravel(), pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+def _cell_error(rows, linenos, path):
+    """DataError naming the first cell, in file order, that is not a finite
+    float; some cell of ``rows`` must be one."""
+    for row, lineno in zip(rows, linenos):
+        for col, cell in enumerate(row[1:], start=2):
+            try:
+                val = float(cell)
+            except ValueError:
+                return DataError(f"non-numeric cell {cell!r} (column {col})",
+                                 path=path, line=lineno)
+            if not math.isfinite(val):
+                return DataError(f"non-finite cell {cell!r} (column {col})",
+                                 path=path, line=lineno)
 
 
 def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
@@ -304,35 +333,46 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
         omic_group = group_row
         body_start = 2
 
+    # rows are checked first and their cells parsed in one pass after; an
+    # error reports whichever bad row or cell comes first in the file
     n, d = len(catalog), len(feature_names)
-    values = np.zeros((n, d))
+    kept, gids, linenos, row_error = [], [], [], None
     seen = set()
     for lineno, row in enumerate(rows[body_start:], start=body_start + 1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != d + 1:
-            raise DataError(
+            row_error = DataError(
                 f"expected {d + 1} fields, got {len(row)}", path=path, line=lineno
             )
+            break
         gene = row[0].strip()
         if gene not in catalog:
-            raise DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
+            row_error = DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
+            break
         gid = catalog.index[gene]
         if gid in seen:
-            raise DataError(f"duplicate feature row for gene {gene!r}", path=path, line=lineno)
+            row_error = DataError(
+                f"duplicate feature row for gene {gene!r}", path=path, line=lineno
+            )
+            break
         seen.add(gid)
-        for col, cell in enumerate(row[1:], start=1):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"non-numeric cell {cell!r} (column {col + 1})", path=path, line=lineno
-                ) from None
-            if not math.isfinite(val):
-                raise DataError(
-                    f"non-finite cell {cell!r} (column {col + 1})", path=path, line=lineno
-                )
-            values[gid, col - 1] = val
+        kept.append(row)
+        gids.append(gid)
+        linenos.append(lineno)
+
+    cells = itertools.chain.from_iterable(row[1:] for row in kept)
+    try:
+        flat = np.fromiter(map(float, cells), dtype=np.float64, count=len(kept) * d)
+    except ValueError:
+        flat = None
+    if flat is None or not np.isfinite(flat).all():
+        raise _cell_error(kept, linenos, path)
+    if row_error is not None:
+        raise row_error
+    del rows, kept
+    values = np.zeros((n, d))
+    values[gids] = flat.reshape(-1, d)
 
     missing = tuple(catalog.names[g] for g in range(n) if g not in seen)
     if missing:
@@ -345,12 +385,7 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
 def load_labels(path, catalog: GeneCatalog) -> LabelSet:
     labels: dict[int, int] = {}
     for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            fields = line.split()
-        if len(fields) != 2:
-            raise DataError(f"expected 2 columns, got {len(fields)}", path=path, line=lineno)
-        gene, tag = fields
+        gene, tag = _two_columns(line, path, lineno)
         if gene not in catalog:
             raise DataError(f"label for unknown gene {gene!r}", path=path, line=lineno)
         if tag not in ("0", "1"):

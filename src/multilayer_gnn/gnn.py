@@ -207,29 +207,30 @@ class MetaGraph:
     """Per-gene star: directed edges from each layer copy of the gene to its
     meta node, plus a self-loop on the meta node.
 
-    ``layer_names`` is the canonical (name-sorted) order; ``memberships[g]``
-    lists (layer position, layer-local id) for the layers containing gene g.
+    ``layer_names`` is the canonical (name-sorted) order and
+    ``layer_node_ids[pos]`` holds the sorted catalog ids of the nodes of
+    layer position ``pos``. The layer copies are numbered layer by layer in
+    that order: copy c is gene ``copy_gene[c]`` at local id ``copy_local[c]``
+    of layer position ``copy_layer[c]``, and ``incoming[g]`` counts gene g's
+    copies.
     """
 
-    def __init__(self, layer_names, memberships):
+    def __init__(self, layer_names, layer_node_ids, n_genes):
         self.layer_names = tuple(layer_names)
-        self.memberships = memberships
+        self.n_genes = int(n_genes)
+        sizes = [len(ids) for ids in layer_node_ids]
+        self.copy_gene = np.concatenate(layer_node_ids).astype(np.intp)
+        self.copy_layer = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        self.copy_local = np.concatenate([np.arange(size, dtype=np.intp) for size in sizes])
+        self.incoming = np.bincount(self.copy_gene, minlength=self.n_genes)
 
     def n_incoming(self, gene_id: int) -> int:
-        return len(self.memberships[gene_id])
-
-    def layers_of(self, gene_id: int):
-        return [self.layer_names[pos] for pos, _ in self.memberships[gene_id]]
+        return int(self.incoming[gene_id])
 
 
 def build_meta_graph(dataset: MultilayerDataset) -> MetaGraph:
     order = sorted(lg.layer_name for lg in dataset.layers)
-    memberships = [[] for _ in range(dataset.n_genes)]
-    for pos, name in enumerate(order):
-        lg = dataset.layer_by_name(name)
-        for local, gene in enumerate(lg.node_ids):
-            memberships[int(gene)].append((pos, local))
-    return MetaGraph(order, memberships)
+    return MetaGraph(order, [dataset.layer_by_name(n).node_ids for n in order], dataset.n_genes)
 
 
 class _CompiledMeta:
@@ -246,35 +247,38 @@ class _CompiledMeta:
         self.n_nodes = self.meta_base + n_genes
         self.meta_rows = np.arange(self.meta_base, self.n_nodes, dtype=np.intp)
 
-        dst, src, base, gene_of, layer_of = [], [], [], [], []
-        for pos, size in enumerate(layer_sizes):
-            for local in range(size):
-                node = int(self.copy_offsets[pos]) + local
-                dst.append(node)
-                src.append(node)
-                base.append(1.0)
-                gene_of.append(-1)
-                layer_of.append(-1)
-        for g in range(n_genes):
-            m = len(meta.memberships[g])
-            node = self.meta_base + g
-            dst.append(node)
-            src.append(node)
-            base.append(1.0 / (m + 1))
-            gene_of.append(g)
-            layer_of.append(-1)
-            for pos, local in meta.memberships[g]:
-                dst.append(node)
-                src.append(int(self.copy_offsets[pos]) + local)
-                base.append(1.0 / np.sqrt(m + 1.0))
-                gene_of.append(g)
-                layer_of.append(pos)
+        # edges in input order: every copy's self edge, then per gene its
+        # meta self edge followed by one edge from each of its copies in
+        # layer order
+        copies = np.arange(self.meta_base, dtype=np.intp)
+        by_gene = np.argsort(meta.copy_gene, kind="stable")
+        m = np.bincount(meta.copy_gene, minlength=n_genes)
+        star = np.repeat(self.meta_rows, m + 1)
+        star_m = np.repeat(m, m + 1)
+        is_self = np.zeros(star.size, dtype=bool)
+        is_self[np.arange(n_genes) + np.cumsum(m) - m] = True
+        star_src = star.copy()
+        star_src[~is_self] = (self.copy_offsets[meta.copy_layer] + meta.copy_local)[by_gene]
+        star_layer = np.full(star.size, -1, dtype=np.intp)
+        star_layer[~is_self] = meta.copy_layer[by_gene]
+
+        dst = np.concatenate([copies, star])
+        src = np.concatenate([copies, star_src])
+        base = np.concatenate([
+            np.ones(self.meta_base),
+            np.where(is_self, 1.0 / (star_m + 1), 1.0 / np.sqrt(star_m + 1.0)),
+        ])
+        gene_of = np.concatenate([
+            np.full(self.meta_base, -1, dtype=np.intp),
+            np.repeat(np.arange(n_genes, dtype=np.intp), m + 1),
+        ])
+        layer_of = np.concatenate([np.full(self.meta_base, -1, dtype=np.intp), star_layer])
 
         self.structure = ad.EdgeStructure(self.n_nodes, self.n_nodes, dst, src)
         order = self.structure.order
-        self.base_weights = np.asarray(base)[order][:, None]
-        self.gene_of_edge = np.asarray(gene_of, dtype=np.intp)[order]
-        self.layer_of_edge = np.asarray(layer_of, dtype=np.intp)[order]
+        self.base_weights = base[order][:, None]
+        self.gene_of_edge = gene_of[order]
+        self.layer_of_edge = layer_of[order]
         self.is_cross = self.layer_of_edge >= 0
 
     def cross_edge_indices(self, gene_id: int) -> np.ndarray:
@@ -428,7 +432,7 @@ def meta_forward(params: ModelParams, cfg: GnnConfig, per_layer_h, meta: MetaGra
     into meta-node representations."""
     if layer_sizes is None:
         layer_sizes = [t.rows for t in per_layer_h]
-    cm = _CompiledMeta(meta, layer_sizes, len(meta.memberships))
+    cm = _CompiledMeta(meta, layer_sizes, meta.n_genes)
     x = ad.constant(features)
     projected = ad.matmul(x, params.xproj)
     stack = ad.concat_rows(list(per_layer_h) + [projected])

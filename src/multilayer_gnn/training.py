@@ -13,13 +13,13 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import LabelSet, MultilayerDataset, POSITIVE
-from .errors import CheckpointError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .gnn import GnnConfig, ModelParams, init_params, prepare, run_model
 
 
@@ -96,8 +96,10 @@ def stratified_split(labels: LabelSet, dataset: MultilayerDataset, test_layer: s
         val_ids.extend(int(g) for g in members[:n_val])
         train_ids.extend(int(g) for g in members[n_val:])
 
-    assert not test_set & set(train_ids) and not test_set & set(val_ids)
-    assert set(test_ids) | set(train_ids) | set(val_ids) == set(labels.labels)
+    if test_set & set(train_ids) or test_set & set(val_ids):
+        raise DataError("split invariant broken: a test gene reached train or validation")
+    if test_set | set(train_ids) | set(val_ids) != set(labels.labels):
+        raise DataError("split invariant broken: the split does not cover the labeled genes")
     return SplitSpec(
         test_layer, tuple(sorted(test_ids)), tuple(sorted(train_ids)),
         tuple(sorted(val_ids)), seed,
@@ -211,7 +213,11 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
     test_ids = np.asarray(split.test_ids, dtype=np.intp)
     if train_ids.size == 0:
         raise DataError("empty training split")
-    assert not set(train_ids.tolist()) & set(test_ids.tolist())
+    overlap = np.intersect1d(train_ids, test_ids)
+    if overlap.size:
+        raise DataError(
+            f"split has {overlap.size} gene id(s) in both train and test, e.g. {overlap[0]}"
+        )
     train_targets = _targets_for(dataset.labels, train_ids)
     val_targets = _targets_for(dataset.labels, val_ids)
     test_targets = _targets_for(dataset.labels, test_ids)
@@ -290,8 +296,58 @@ def save_checkpoint(params: ModelParams, cfg: GnnConfig, seed: int, path):
             fh.write(t.data.astype("<f8").tobytes())
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_shape(value):
+    return (isinstance(value, list) and len(value) == 2
+            and all(_is_int(n) and n >= 0 for n in value))
+
+
+# header checks for the GnnConfig field types, keyed by the type of the default
+_CONFIG_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _header_field(path, mapping, key, check, want, prefix=""):
+    """``mapping[key]`` if present and ``check(value)``, else a
+    CheckpointError naming the file and the field."""
+    if key not in mapping:
+        raise CheckpointError(f"{path}: header field '{prefix}{key}' is missing")
+    value = mapping[key]
+    if not check(value):
+        raise CheckpointError(
+            f"{path}: header field '{prefix}{key}' must be {want}, got {value!r}"
+        )
+    return value
+
+
+def _header_config(path, header):
+    """The header's model config: exactly the GnnConfig fields, each of its
+    default's type."""
+    raw = _header_field(path, header, "config", lambda v: isinstance(v, dict), "an object")
+    kinds = {f.name: type(f.default) for f in fields(GnnConfig)}
+    unknown = sorted(raw.keys() - kinds.keys())
+    if unknown:
+        raise CheckpointError(f"{path}: header field 'config.{unknown[0]}' is unknown")
+    for key, kind in kinds.items():
+        _header_field(path, raw, key, *_CONFIG_CHECKS[kind], prefix="config.")
+    try:
+        return GnnConfig(**raw).validate()
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: header field 'config' is invalid: {err}") from err
+
+
 def load_checkpoint(path):
-    """Returns (params, config, seed); bit-exact round trip of save."""
+    """Returns (params, config, seed); bit-exact round trip of save.
+
+    Every malformed header field raises a CheckpointError naming the file
+    and the field.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(_MAGIC) + 4 or raw[: len(_MAGIC)] != _MAGIC:
@@ -304,31 +360,44 @@ def load_checkpoint(path):
         header = json.loads(raw[len(_MAGIC) + 4:body_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header ({err})") from err
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
     version = header.get("version")
     if version != _VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (supported: {_VERSION})"
         )
-    cfg = GnnConfig(**header["config"]).validate()
+    cfg = _header_config(path, header)
+    d_in = _header_field(path, header, "d_in", lambda v: _is_int(v) and v >= 1,
+                         "a positive integer")
+    seed = _header_field(path, header, "seed", _is_int, "an integer")
+    entries = _header_field(path, header, "params", lambda v: isinstance(v, list), "a list")
 
     tensors = {}
     offset = body_start
-    for entry in header["params"]:
-        rows, cols = entry["shape"]
+    for i, entry in enumerate(entries):
+        where = f"params[{i}]"
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: header field '{where}' must be an object, "
+                                  f"got {entry!r}")
+        name = _header_field(path, entry, "name", lambda v: isinstance(v, str), "a string",
+                             prefix=f"{where}.")
+        rows, cols = _header_field(path, entry, "shape", _is_shape,
+                                   "[rows, cols] of non-negative integers", prefix=f"{where}.")
         nbytes = rows * cols * 8
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated parameter block {entry['name']!r}")
+            raise CheckpointError(f"{path}: truncated parameter block {name!r}")
         arr = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols).copy()
-        tensors[entry["name"]] = ad.variable(arr, name=entry["name"])
+        tensors[name] = ad.variable(arr, name=name)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} unexpected trailing bytes")
 
     try:
         params = ModelParams._from_dict(
-            cfg.arch, header["d_in"], cfg.encoder_layers, cfg.meta_layers, tensors
+            cfg.arch, d_in, cfg.encoder_layers, cfg.meta_layers, tensors
         )
     except KeyError as err:
         raise CheckpointError(f"{path}: parameter {err} missing from checkpoint") from err
-    return params, cfg, header["seed"]
+    return params, cfg, seed

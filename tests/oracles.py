@@ -128,3 +128,33 @@ def gsea_running_sum(ranked_genes, ranked_scores, member_set, p=1.0):
     lo = min(running)
     es = hi if hi >= -lo else lo
     return es, running
+
+
+class ScanUnattainable(Exception):
+    """No threshold reaches the target; ``best`` is the best precision seen."""
+
+    def __init__(self, best):
+        super().__init__(best)
+        self.best = best
+
+
+def select_threshold_scan(scores, labels, precision_target):
+    """Discovery threshold by rescanning every score once per unique score.
+
+    Returns the smallest observed score t whose at-or-above set has
+    precision >= target; raises ScanUnattainable with the best precision
+    over all candidates when none does.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    best = 0.0
+    chosen = None
+    for t in np.unique(scores):  # ascending candidate thresholds
+        sel = scores >= t
+        prec = float(labels[sel].sum() / sel.sum())
+        best = max(best, prec)
+        if prec >= precision_target and chosen is None:
+            chosen = float(t)
+    if chosen is None:
+        raise ScanUnattainable(best)
+    return chosen

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multilayer_gnn import analysis as an
@@ -13,7 +15,7 @@ from multilayer_gnn import gnn
 from multilayer_gnn.errors import DataError
 
 from conftest import build_dataset
-from oracles import gsea_running_sum
+from oracles import ScanUnattainable, gsea_running_sum, select_threshold_scan
 
 
 class TestSelectThreshold:
@@ -46,6 +48,42 @@ class TestSelectThreshold:
                 continue
             sel = scores >= t
             assert labels[sel].sum() / sel.sum() >= target
+
+
+# few distinct values so that most draws carry tie groups mixing both labels
+_TIED_SCORE = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.5000000000000001, 0.9, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _scored_labels(draw):
+    pairs = draw(st.lists(st.tuples(_TIED_SCORE, st.integers(0, 1)), min_size=1, max_size=60))
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([y for _, y in pairs])
+    if not labels.any():
+        labels[draw(st.integers(0, labels.size - 1))] = 1
+    return scores, labels
+
+
+class TestSelectThresholdOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_scored_labels(),
+           st.one_of(st.sampled_from([0.0, 0.5, 2 / 3, 0.75, 0.95, 1.0]), st.floats(0.0, 1.0)))
+    def test_matches_scan(self, data, target):
+        scores, labels = data
+        try:
+            want = select_threshold_scan(scores, labels, target)
+        except ScanUnattainable as err:
+            with pytest.raises(an.ThresholdUnattainableError) as got:
+                an.select_threshold(scores, labels, target)
+            assert got.value.best == err.best
+            assert got.value.target == target
+        else:
+            got = an.select_threshold(scores, labels, target)
+            assert type(got) is float
+            assert got == want
 
 
 class TestRankedGeneList:

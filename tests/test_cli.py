@@ -2,12 +2,15 @@
 
 import csv
 import json
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multilayer_gnn import cli
+from multilayer_gnn import analysis as an
+from multilayer_gnn import cli, data, gnn, training
 
 
 def run(*argv):
@@ -168,6 +171,111 @@ class TestDiscover:
         with open(out / "candidates.csv") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         assert len(rows) == 1  # header only: no candidate clears 1.01
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls to ``module.name`` through every package binding of it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("multilayer_gnn") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+class TestDiscoverOnePass:
+    def test_one_forward_and_outputs_match_library(self, ws, tmp_path, monkeypatch):
+        calls = {"forward": 0, "prepare": 0}
+        _count_calls(monkeypatch, gnn, "forward", calls)
+        _count_calls(monkeypatch, gnn, "prepare", calls)
+        out = tmp_path / "disc"
+        assert run("discover", "--config", ws["config"], "--checkpoint",
+                   ws["checkpoint"], "--out", out) == 0
+        assert calls == {"forward": 1, "prepare": 1}
+        monkeypatch.undo()
+
+        paths = ws["cfg"]["paths"]
+        ds = data.load_dataset([(e["name"], e["path"]) for e in paths["layers"]],
+                               paths["features"], paths["labels"])
+        params, cfg, _ = training.load_checkpoint(ws["checkpoint"])
+        probs = gnn.forward(params, cfg, ds)
+        labeled = ds.labels.labeled_ids()
+        targets = np.array([ds.labels.labels[g] for g in labeled])
+        threshold = an.select_threshold(probs[labeled], targets, 0.95)
+        want = an.discover_candidates(params, cfg, ds, threshold)
+        an.write_candidates_csv(want, tmp_path / "candidates.csv",
+                                header_note="precision_target=0.95")
+        an.write_ranking_csv(want.full_ranking, tmp_path / "unlabeled_ranking.csv")
+        for name in ("candidates.csv", "unlabeled_ranking.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its parsed JSON header through ``edit``."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = edit(json.loads(raw[12:12 + hlen]))
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+
+
+_DROP = object()
+
+
+def _at(path, value):
+    """Header edit: set the field at ``path`` to ``value``, or delete it
+    when ``value`` is _DROP."""
+    def edit(header):
+        *outer, last = path
+        node = header
+        for key in outer:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return header
+    return edit
+
+
+class TestCorruptCheckpointHeader:
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: [h], "header"),
+        (_at(["config"], _DROP), "'config'"),
+        (_at(["config"], [1, 2]), "'config'"),
+        (_at(["config", "depth"], 2), "'config.depth'"),
+        (_at(["config", "hidden_dim"], _DROP), "'config.hidden_dim'"),
+        (_at(["config", "encoder_layers"], "3"), "'config.encoder_layers'"),
+        (_at(["config", "encoder_layers"], 2.5), "'config.encoder_layers'"),
+        (_at(["config", "meta_layers"], True), "'config.meta_layers'"),
+        (_at(["config", "leaky_slope"], None), "'config.leaky_slope'"),
+        (_at(["config", "arch"], "rnn"), "'config'"),
+        (_at(["config", "hidden_dim"], 0), "'config'"),
+        (_at(["params"], _DROP), "'params'"),
+        (_at(["params"], {"enc0.w": [1, 1]}), "'params'"),
+        (_at(["params", 1], "enc1.w"), "'params[1]'"),
+        (_at(["params", 0, "shape"], [3]), "'params[0].shape'"),
+        (_at(["params", 0, "shape"], [-1, 4]), "'params[0].shape'"),
+        (_at(["params", 0, "shape"], ["12", 64]), "'params[0].shape'"),
+        (_at(["params", 1, "name"], _DROP), "'params[1].name'"),
+        (_at(["d_in"], _DROP), "'d_in'"),
+        (_at(["d_in"], "12"), "'d_in'"),
+        (_at(["d_in"], 0), "'d_in'"),
+        (_at(["seed"], _DROP), "'seed'"),
+        (_at(["seed"], 5.0), "'seed'"),
+    ])
+    def test_discover_exits_2_naming_file_and_field(self, ws, tmp_path, capsys, edit, field):
+        bad = tmp_path / "bad.bin"
+        _rewrite_header(ws["checkpoint"], bad, edit)
+        assert run("discover", "--config", ws["config"], "--checkpoint", bad,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestGsea:

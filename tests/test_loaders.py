@@ -1,0 +1,186 @@
+"""Edge cases of the text loaders: separators, comments, line endings,
+catalog order, CSV quoting, rejected cells and exact round trips."""
+
+import numpy as np
+import pytest
+
+from multilayer_gnn import data as dm
+from multilayer_gnn.errors import DataError
+
+
+def write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_bytes(text.encode("utf-8"))
+    return p
+
+
+def edge_names(lg, catalog):
+    return [(catalog.names[u], catalog.names[v]) for u, v in lg.edges]
+
+
+class TestEdgeListSyntax:
+    def test_mixed_tab_and_space_separators(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "A\tB\nB C\nC    D\nD\t\tE\n")
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(path, catalog, "L")
+        assert catalog.names == ["A", "B", "C", "D", "E"]
+        assert edge_names(lg, catalog) == [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")]
+
+    def test_tab_line_keeps_inner_spaces(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "gene one\tgene two\ngene two\tG3\n")
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(path, catalog, "L")
+        assert catalog.names == ["gene one", "gene two", "G3"]
+        assert lg.n_edges == 2
+
+    def test_three_space_separated_names_rejected(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "A\tB\ngene one two\n")
+        with pytest.raises(DataError, match=r"e\.tsv:2: expected 2 columns, got 3"):
+            dm.load_layer_graph(path, dm.GeneCatalog(), "L")
+
+    def test_indented_comments_and_blank_lines(self, tmp_path):
+        text = "  # indented\n\t# tab-indented\nA\tB\n   \n\t\n\nB\tC\n#A\tC\n"
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(write(tmp_path, "e.tsv", text), catalog, "L")
+        assert catalog.names == ["A", "B", "C"]
+        assert edge_names(lg, catalog) == [("A", "B"), ("B", "C")]
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "# c\r\nA B\r\nB\tC\r\n\r\nC\tA")
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(path, catalog, "L")
+        assert catalog.names == ["A", "B", "C"]
+        assert lg.n_edges == 3
+
+    def test_error_line_counts_skipped_lines(self, tmp_path):
+        text = "# c\n\nA\tB\r\n  # x\n\t\nA B C\n"
+        with pytest.raises(DataError, match=r"e\.tsv:6: expected 2 columns, got 3"):
+            dm.load_layer_graph(write(tmp_path, "e.tsv", text), dm.GeneCatalog(), "L")
+
+    def test_only_comments_is_empty(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "  # a\n\n\t\r\n")
+        with pytest.raises(DataError, match="no edges"):
+            dm.load_layer_graph(path, dm.GeneCatalog(), "L")
+
+
+class TestEdgeListStructure:
+    def test_reversed_and_duplicate_pairs(self, tmp_path):
+        text = "B\tA\nA\tB\nC\tA\nA\tC\nB\tA\nC\tB\n"
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(write(tmp_path, "e.tsv", text), catalog, "L")
+        assert catalog.names == ["B", "A", "C"]
+        np.testing.assert_array_equal(lg.edges, [[0, 1], [0, 2], [1, 2]])
+        np.testing.assert_array_equal(lg.csr_indptr, [0, 2, 4, 6])
+        np.testing.assert_array_equal(lg.csr_indices, [1, 2, 0, 2, 0, 1])
+
+    def test_self_loop_only_nodes(self, tmp_path):
+        text = "A\tB\nC\tC\nB\tD\nE E\nC\tC\n"
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(write(tmp_path, "e.tsv", text), catalog, "L")
+        assert catalog.names == ["A", "B", "C", "D", "E"]
+        np.testing.assert_array_equal(lg.node_ids, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(lg.edges, [[0, 1], [1, 3]])
+        np.testing.assert_array_equal(lg.degrees(), [1, 2, 0, 1, 0])
+
+    def test_nodes_are_the_file_genes_only(self, tmp_path):
+        catalog = dm.GeneCatalog(["X", "A", "Y", "B"])
+        lg = dm.load_layer_graph(write(tmp_path, "e.tsv", "B\tA\n"), catalog, "L")
+        assert catalog.names == ["X", "A", "Y", "B"]
+        np.testing.assert_array_equal(lg.node_ids, [1, 3])
+        np.testing.assert_array_equal(lg.edges, [[1, 3]])
+
+    def test_catalog_first_seen_order_across_layers(self, tmp_path):
+        specs = [
+            ("L0", write(tmp_path, "a.tsv", "B\tA\nC\tB\n")),
+            ("L1", write(tmp_path, "b.tsv", "D\tA\nE\tE\nB\tF\nG H\n")),
+        ]
+        feats = "gene,f1\n" + "".join(f"{g},1\n" for g in "ABCDEFGH")
+        ds = dm.load_dataset(specs, write(tmp_path, "f.csv", feats),
+                             write(tmp_path, "l.tsv", "A\t1\n"))
+        assert ds.catalog.names == ["B", "A", "C", "D", "E", "F", "G", "H"]
+        assert edge_names(ds.layers[1], ds.catalog) == [
+            ("B", "F"), ("A", "D"), ("G", "H")
+        ]
+        np.testing.assert_array_equal(ds.layers[1].node_ids, [0, 1, 3, 4, 5, 6, 7])
+
+    def test_layer_graph_dedups_any_pair_order(self):
+        edges = np.array([[5, 2], [2, 5], [0, 7], [7, 0], [2, 5], [3, 4]])
+        lg = dm.LayerGraph("L", range(8), edges)
+        np.testing.assert_array_equal(lg.edges, [[0, 7], [2, 5], [3, 4]])
+        assert lg.edges.dtype == np.intp
+        lg = dm.LayerGraph("L", [2, -3, -1], np.array([[2, -3], [-1, -3], [-3, 2]]))
+        np.testing.assert_array_equal(lg.edges, [[-3, -1], [-3, 2]])
+        np.testing.assert_array_equal(lg.degrees(), [2, 1, 1])
+
+
+class TestFeatureCells:
+    def test_quoted_cells(self, tmp_path):
+        text = 'gene,"f,1","f ""2"""\n"A","1.5","-2e3"\nB,"0",7\n'
+        catalog = dm.GeneCatalog(["B", "A"])
+        fm = dm.load_feature_matrix(write(tmp_path, "f.csv", text), catalog)
+        assert fm.feature_names == ["f,1", 'f "2"']
+        np.testing.assert_array_equal(fm.values, [[0.0, 7.0], [1.5, -2000.0]])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "-1e999", "nan", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "f.csv", f"gene,f1,f2\nA,1,{cell}\n")
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert str(err.value) == f"{path}:2: non-finite cell {cell!r} (column 3)"
+
+    def test_non_numeric_cell_names_line_and_column(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1,f2\nA,1,2\nB,oops,3\n")
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+        assert str(err.value) == f"{path}:3: non-numeric cell 'oops' (column 2)"
+
+    def test_first_bad_cell_in_file_order_wins(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1,f2\nA,inf,oops\nB,oops,1\n")
+        with pytest.raises(DataError, match=r"f\.csv:2: non-finite cell 'inf' \(column 2\)"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+
+    def test_cell_error_before_row_error(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1\nA,oops\nZ,1\n")
+        with pytest.raises(DataError, match=r"f\.csv:2: non-numeric cell 'oops'"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+
+    def test_row_error_before_later_cell_error(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1\nA,1\nB,2,3\nC,oops\n")
+        with pytest.raises(DataError, match=r"f\.csv:3: expected 2 fields, got 3"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B", "C"]))
+
+    def test_error_line_counts_skipped_rows(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1\ngroup,x\n\nA,1\n \n\nB,1e999\n")
+        with pytest.raises(DataError, match=r"f\.csv:7: non-finite cell '1e999'"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+
+    def test_duplicate_row_after_blank_rows(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,f1\r\nA,1\r\n\r\nA,2\r\n")
+        with pytest.raises(DataError, match=r"f\.csv:4: duplicate feature row"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+
+    def test_cells_parse_like_python_floats(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene,a,b,c,d\nA, 1.25 ,-0,1_000,0x1\n")
+        with pytest.raises(DataError, match=r"non-numeric cell '0x1' \(column 5\)"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        path = write(tmp_path, "g.csv", "gene,a,b,c\nA, 1.25 ,-0,1_000\n")
+        fm = dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert fm.values.tobytes() == np.array([[1.25, -0.0, 1000.0]]).tobytes()
+
+
+class TestFeatureRoundTrip:
+    def test_bit_exact_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
+        values[0, :] = [0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1]
+        values[1, 0] = 1.0 / 3.0
+        names = ["plain", "with,comma", 'with "quote"', "sp ace", "ünï"]
+        catalog = dm.GeneCatalog([f"G{i}" for i in range(7)])
+        fm = dm.FeatureMatrix(values, names, ["a", "b", "a", "c", "b"])
+        path = tmp_path / "f.csv"
+        dm.write_features_csv(fm, catalog, path)
+        back = dm.load_feature_matrix(path, catalog)
+        assert back.values.tobytes() == values.tobytes()
+        assert back.feature_names == names
+        assert back.omic_group == ["a", "b", "a", "c", "b"]
+        assert back.missing == ()

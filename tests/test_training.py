@@ -193,6 +193,13 @@ class TestTrainLoop:
         tr.train(cfg, ds, split, epochs=10, seed=0, loss_ids_observer=observer)
         assert seen == list(range(10))
 
+    def test_overlapping_train_and_test_rejected(self):
+        ds = split_dataset()
+        split = tr.SplitSpec("T", (0, 1, 20), (1, 2, 3, 21, 22), (4, 23), seed=0)
+        cfg = gnn.GnnConfig(encoder_layers=1, hidden_dim=3, meta_hidden_dim=3)
+        with pytest.raises(DataError, match="1 gene id.*both train and test.*1"):
+            tr.train(cfg, ds, split, epochs=1, seed=0)
+
     def test_divergence_reports_epoch(self):
         ds = separable_dataset()
         cfg = gnn.GnnConfig(encoder_layers=3, hidden_dim=8, meta_hidden_dim=8)
