@@ -54,7 +54,6 @@ from .gnn import (
     gcn_layer,
     gcn_normalize,
     init_params,
-    meta_forward,
     predict,
     prepare,
     run_model,
@@ -64,7 +63,6 @@ from .training import (
     AdamState,
     SplitSpec,
     TrainReport,
-    adam_step,
     auprc,
     load_checkpoint,
     save_checkpoint,

@@ -265,46 +265,40 @@ class EdgeStructure:
                 raise ValueError("destination id out of range")
             if src.min() < 0 or src.max() >= n_src:
                 raise ValueError("source id out of range")
-        order = np.lexsort((src, dst))
         self.n_dst = int(n_dst)
         self.n_src = int(n_src)
+        self.n_edges = int(dst.size)
+        # a stable sort on an int64 key that orders edges like the (dst, src)
+        # pair keeps duplicate edges in input order; a stable sort of that
+        # order by src alone then orders them by (src, dst)
+        order = np.argsort(dst.astype(np.int64) * self.n_src + src, kind="stable")
         self.dst = dst[order]
         self.src = src[order]
-        self.n_edges = int(dst.size)
         self.order = order  # arr[order] reorders caller-side arrays to match
+        self._perm_by_src = np.argsort(self.src, kind="stable")
 
-        self._row_ids, self._row_starts, counts = np.unique(
-            self.dst, return_index=True, return_counts=True
-        )
-        self._edge_seg = np.repeat(np.arange(self._row_ids.size), counts)
+        counts = np.bincount(self.dst, minlength=self.n_dst)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._row_ids = np.flatnonzero(counts)
+        self._row_starts = indptr[self._row_ids]
+        self._edge_seg = np.repeat(np.arange(self._row_ids.size), counts[self._row_ids])
 
-        self._perm_by_src = np.lexsort((self.dst, self.src))
-        self._col_ids, self._col_starts = np.unique(
-            self.src[self._perm_by_src], return_index=True
-        )
+        counts_t = np.bincount(self.src, minlength=self.n_src)
+        indptr_t = np.concatenate(([0], np.cumsum(counts_t)))
+        self._col_ids = np.flatnonzero(counts_t)
+        self._col_starts = indptr_t[self._col_ids]
 
         # CSR kernels for the weighted sum and its transpose; the data buffers
         # are scratch space refilled on every spmm call, which confines a
         # structure to one thread at a time.
-        indptr = np.zeros(self.n_dst + 1, dtype=np.int64)
-        np.add.at(indptr, self.dst + 1, 1)
         self._mat = sp.csr_matrix(
-            (np.zeros(self.n_edges), self.src.astype(np.int64), np.cumsum(indptr)),
+            (np.zeros(self.n_edges), self.src.astype(np.int64), indptr),
             shape=(self.n_dst, self.n_src),
         )
-        indptr_t = np.zeros(self.n_src + 1, dtype=np.int64)
-        np.add.at(indptr_t, self.src + 1, 1)
         self._mat_t = sp.csr_matrix(
-            (
-                np.zeros(self.n_edges),
-                self.dst[self._perm_by_src].astype(np.int64),
-                np.cumsum(indptr_t),
-            ),
+            (np.zeros(self.n_edges), self.dst[self._perm_by_src].astype(np.int64), indptr_t),
             shape=(self.n_src, self.n_dst),
         )
-
-    def segment_count(self):
-        return self._row_ids.size
 
 
 class SparseWeighted:

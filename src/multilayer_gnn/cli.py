@@ -36,16 +36,22 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 # ---------------------------------------------------------------------------
 
-_MODEL_DEFAULTS = {
-    "arch": "gcn", "encoder_layers": 3, "hidden_dim": 64,
-    "meta_layers": 1, "meta_hidden_dim": 64, "leaky_slope": 0.2,
-}
+_MODEL_KEYS = ("arch", "encoder_layers", "hidden_dim", "meta_layers", "meta_hidden_dim",
+               "leaky_slope")
 _TRAINING_DEFAULTS = {
     "epochs": 2000, "lr": 0.001, "test_frac": 0.25, "val_frac": 0.10,
     "pos_weight": 1.0,
 }
 _EXPLAIN_DEFAULTS = {"steps": 64, "edge_ig_scope": "target"}
 _ABLATION_DEFAULTS = {"mode": "none", "fraction": 0.2, "seeds": [1, 2, 3]}
+
+
+def _model_defaults() -> dict:
+    """The configurable model fields with GnnConfig's defaults."""
+    from .gnn import GnnConfig
+
+    defaults = GnnConfig()
+    return {key: getattr(defaults, key) for key in _MODEL_KEYS}
 
 
 def _require(cond, field, message):
@@ -73,7 +79,7 @@ def load_config(path, seed_override=None, out_override=None) -> dict:
         _require(key in known_top, key, "unknown configuration section")
     cfg.setdefault("paths", {})
     for section, defaults, extra in (
-        ("model", _MODEL_DEFAULTS, ()),
+        ("model", _model_defaults(), ()),
         ("training", _TRAINING_DEFAULTS, ("seed", "test_layer")),
         ("explain", _EXPLAIN_DEFAULTS, ()),
         ("ablation", _ABLATION_DEFAULTS, ()),
@@ -120,13 +126,8 @@ def _gnn_config(cfg):
     from .errors import ConfigError
     from .gnn import GnnConfig
 
-    model = cfg["model"]
     try:
-        return GnnConfig(
-            arch=model["arch"], encoder_layers=model["encoder_layers"],
-            hidden_dim=model["hidden_dim"], meta_layers=model["meta_layers"],
-            meta_hidden_dim=model["meta_hidden_dim"], leaky_slope=model["leaky_slope"],
-        ).validate()
+        return GnnConfig(**cfg["model"]).validate()
     except TypeError as err:
         raise ConfigError(f"model: {err}") from err
 
@@ -292,6 +293,12 @@ def _resolve_genes(dataset, raw_names):
     return ids
 
 
+def _explain_filename(gene: str) -> str:
+    """``explain_<gene>.json``, with only '%' and '/' percent-encoded so that
+    every gene name maps to its own file inside the output directory."""
+    return "explain_" + gene.replace("%", "%25").replace("/", "%2F") + ".json"
+
+
 def cmd_explain(cfg, checkpoint, genes) -> int:
     from . import analysis as an
     from . import explain as ex
@@ -313,7 +320,7 @@ def cmd_explain(cfg, checkpoint, genes) -> int:
                                  scope=scope, prep=prep)
         meta_attrs[gid] = medge
         report = ex.attribution_report(dataset, attr, medge)
-        _write_json(outdir / f"explain_{name}.json", report)
+        _write_json(outdir / _explain_filename(name), report)
         logger.info("explained %s (%d steps, %s edge scope)", name, steps, scope)
 
     # companion tables across the explained genes: positive-neighbor
@@ -445,7 +452,7 @@ def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_
             "labels": paths["labels"],
             "gene_sets": paths["gene_sets"],
         },
-        "model": dict(_MODEL_DEFAULTS),
+        "model": _model_defaults(),
         "training": {**_TRAINING_DEFAULTS, "seed": seed,
                      "test_layer": dataset.layers[0].layer_name},
         "explain": dict(_EXPLAIN_DEFAULTS),

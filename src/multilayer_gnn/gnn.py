@@ -157,13 +157,18 @@ def _directed_with_self_loops(layer: LayerGraph):
     return ad.EdgeStructure(n, n, dst, src)
 
 
+def _gcn_weights(layer: LayerGraph, structure: ad.EdgeStructure) -> ad.Tensor:
+    """Edge (u, v) weighted 1/sqrt(dhat_u dhat_v) where dhat = degree + 1."""
+    dhat = layer.degrees() + 1.0
+    w = 1.0 / np.sqrt(dhat[structure.dst] * dhat[structure.src])
+    return ad.constant(w[:, None], name=f"gcnnorm:{layer.layer_name}")
+
+
 def gcn_normalize(layer: LayerGraph) -> ad.SparseWeighted:
     """Adjacency with self-loops, edge (u, v) weighted 1/sqrt(dhat_u dhat_v)
     where dhat = degree + 1."""
     s = _directed_with_self_loops(layer)
-    dhat = layer.degrees() + 1.0
-    w = 1.0 / np.sqrt(dhat[s.dst] * dhat[s.src])
-    return ad.SparseWeighted(s, ad.constant(w[:, None], name=f"gcnnorm:{layer.layer_name}"))
+    return ad.SparseWeighted(s, _gcn_weights(layer, s))
 
 
 def gat_structure(layer: LayerGraph) -> ad.EdgeStructure:
@@ -193,10 +198,29 @@ def _gat_on_structure(h, structure, w, a, slope, multiplier=None):
     return ad.spmm(ad.SparseWeighted(structure, weights), wh)
 
 
-def gat_layer(h: ad.Tensor, layer, w: ad.Tensor, a: ad.Tensor, slope: float = 0.2) -> ad.Tensor:
+def gat_layer(h: ad.Tensor, layer: LayerGraph, w: ad.Tensor, a: ad.Tensor,
+              slope: float = 0.2) -> ad.Tensor:
     """Single-head attention layer over N(u) plus the node itself."""
-    structure = gat_structure(layer) if isinstance(layer, LayerGraph) else layer
-    return _gat_on_structure(h, structure, w, a, slope)
+    return _gat_on_structure(h, gat_structure(layer), w, a, slope)
+
+
+def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None):
+    """One stack of message-passing layers over one graph, relu between them.
+
+    GCN layers weight the edges by ``base_weights``, GAT layers by their
+    attention scores; ``multiplier`` (one value per edge, or None) scales
+    those weights in every layer. The encoder runs this over each layer
+    graph and the meta stage over the star forest.
+    """
+    for l, w in enumerate(ws):
+        if cfg.arch == GCN:
+            weights = base_weights if multiplier is None else ad.mul(base_weights, multiplier)
+            h = gcn_layer(h, ad.SparseWeighted(structure, weights), w)
+        else:
+            h = _gat_on_structure(h, structure, w, attn[l], cfg.leaky_slope, multiplier)
+        if l < len(ws) - 1:
+            h = ad.relu(h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +300,7 @@ class _CompiledMeta:
 
         self.structure = ad.EdgeStructure(self.n_nodes, self.n_nodes, dst, src)
         order = self.structure.order
-        self.base_weights = base[order][:, None]
+        self.base_weights = ad.constant(base[order][:, None], name="meta_base_weights")
         self.gene_of_edge = gene_of[order]
         self.layer_of_edge = layer_of[order]
         self.is_cross = self.layer_of_edge >= 0
@@ -292,25 +316,19 @@ class _CompiledMeta:
 
 class PreparedModel:
     """Graph-dependent constants reused across forward passes: canonical
-    layer order, normalized adjacencies, and the compiled meta star forest."""
+    layer order, each layer graph's edge structure with its GCN weights, and
+    the compiled meta star forest."""
 
     def __init__(self, cfg: GnnConfig, dataset: MultilayerDataset):
         cfg.validate()
-        self.cfg = cfg
         self.dataset = dataset
-        self.meta = build_meta_graph(dataset)
-        self.layer_names = self.meta.layer_names
-        self.layers = [dataset.layer_by_name(n) for n in self.layer_names]
-        self.node_ids = [lg.node_ids for lg in self.layers]
-        if cfg.arch == GCN:
-            self.norm_adjs = [gcn_normalize(lg) for lg in self.layers]
-            self.structures = [sw.structure for sw in self.norm_adjs]
-        else:
-            self.structures = [gat_structure(lg) for lg in self.layers]
-            self.norm_adjs = None
-        self.compiled_meta = _CompiledMeta(
-            self.meta, [lg.n_nodes for lg in self.layers], dataset.n_genes
-        )
+        meta = build_meta_graph(dataset)
+        self.layer_names = meta.layer_names
+        layers = [dataset.layer_by_name(n) for n in self.layer_names]
+        self.node_ids = [lg.node_ids for lg in layers]
+        self.structures = [_directed_with_self_loops(lg) for lg in layers]
+        self.base_weights = [_gcn_weights(lg, s) for lg, s in zip(layers, self.structures)]
+        self.compiled_meta = _CompiledMeta(meta, [lg.n_nodes for lg in layers], dataset.n_genes)
 
 
 def prepare(cfg: GnnConfig, dataset: MultilayerDataset) -> PreparedModel:
@@ -325,22 +343,6 @@ class ModelRun:
     x: ad.Tensor               # feature matrix variable
     h_meta: ad.Tensor          # (n_genes, meta_hidden)
     per_layer_h: dict          # layer name -> encoder output tensor
-    meta_multiplier: "ad.Tensor | None"
-    prepared: PreparedModel
-
-
-def _encode_one(params, cfg, prep, idx, x):
-    h = ad.row_gather(x, prep.node_ids[idx])
-    for l in range(cfg.encoder_layers):
-        if cfg.arch == GCN:
-            h = gcn_layer(h, prep.norm_adjs[idx], params.enc_w[l])
-        else:
-            h = _gat_on_structure(
-                h, prep.structures[idx], params.enc_w[l], params.enc_a[l], cfg.leaky_slope
-            )
-        if l < cfg.encoder_layers - 1:
-            h = ad.relu(h)
-    return h
 
 
 def head_logits(params: ModelParams, h_meta: ad.Tensor) -> ad.Tensor:
@@ -361,54 +363,26 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
     """
     x_data = prep.dataset.features.values if features is None else features
     x = ad.variable(x_data, name="features")
+    multipliers = layer_multipliers or {}
 
     per_layer = {}
-    encoded = []
-    for idx, name in enumerate(prep.layer_names):
-        if layer_multipliers is not None and name in layer_multipliers:
-            mlt = layer_multipliers[name]
-            if cfg.arch == GCN:
-                sw = prep.norm_adjs[idx]
-                weighted = ad.SparseWeighted(sw.structure, ad.mul(sw.weights, mlt))
-                h = ad.row_gather(x, prep.node_ids[idx])
-                for l in range(cfg.encoder_layers):
-                    h = gcn_layer(h, weighted, params.enc_w[l])
-                    if l < cfg.encoder_layers - 1:
-                        h = ad.relu(h)
-            else:
-                h = ad.row_gather(x, prep.node_ids[idx])
-                for l in range(cfg.encoder_layers):
-                    h = _gat_on_structure(
-                        h, prep.structures[idx], params.enc_w[l], params.enc_a[l],
-                        cfg.leaky_slope, multiplier=mlt,
-                    )
-                    if l < cfg.encoder_layers - 1:
-                        h = ad.relu(h)
-        else:
-            h = _encode_one(params, cfg, prep, idx, x)
-        per_layer[name] = h
-        encoded.append(h)
+    for name, ids, structure, base in zip(
+        prep.layer_names, prep.node_ids, prep.structures, prep.base_weights
+    ):
+        per_layer[name] = _propagate(
+            ad.row_gather(x, ids), structure, base, params.enc_w, params.enc_a, cfg,
+            multipliers.get(name),
+        )
 
     projected = ad.matmul(x, params.xproj)
-    stack = ad.concat_rows(encoded + [projected])
-
+    stack = ad.concat_rows(list(per_layer.values()) + [projected])
     cm = prep.compiled_meta
-    base = ad.constant(cm.base_weights, name="meta_base_weights")
-    for ml in range(cfg.meta_layers):
-        if cfg.arch == GCN:
-            w = base if meta_multiplier is None else ad.mul(base, meta_multiplier)
-            stack = ad.matmul(ad.spmm(ad.SparseWeighted(cm.structure, w), stack), params.meta_w[ml])
-        else:
-            stack = _gat_on_structure(
-                stack, cm.structure, params.meta_w[ml], params.meta_a[ml],
-                cfg.leaky_slope, multiplier=meta_multiplier,
-            )
-        if ml < cfg.meta_layers - 1:
-            stack = ad.relu(stack)
+    stack = _propagate(
+        stack, cm.structure, cm.base_weights, params.meta_w, params.meta_a, cfg, meta_multiplier
+    )
 
     h_meta = ad.row_gather(stack, cm.meta_rows)
-    logits = head_logits(params, h_meta)
-    return ModelRun(logits, x, h_meta, per_layer, meta_multiplier, prep)
+    return ModelRun(head_logits(params, h_meta), x, h_meta, per_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +391,8 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
 
 def encode_layers(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset):
     """Per-layer encoder outputs in dataset layer order (weights shared)."""
-    prep = prepare(cfg, dataset)
-    x = ad.variable(dataset.features.values, name="features")
-    by_name = {
-        name: _encode_one(params, cfg, prep, idx, x)
-        for idx, name in enumerate(prep.layer_names)
-    }
-    return [by_name[lg.layer_name] for lg in dataset.layers]
-
-
-def meta_forward(params: ModelParams, cfg: GnnConfig, per_layer_h, meta: MetaGraph,
-                 features: np.ndarray, layer_sizes=None) -> ad.Tensor:
-    """Aggregate per-layer representations (in ``meta.layer_names`` order)
-    into meta-node representations."""
-    if layer_sizes is None:
-        layer_sizes = [t.rows for t in per_layer_h]
-    cm = _CompiledMeta(meta, layer_sizes, meta.n_genes)
-    x = ad.constant(features)
-    projected = ad.matmul(x, params.xproj)
-    stack = ad.concat_rows(list(per_layer_h) + [projected])
-    base = ad.constant(cm.base_weights)
-    for ml in range(cfg.meta_layers):
-        if cfg.arch == GCN:
-            stack = ad.matmul(ad.spmm(ad.SparseWeighted(cm.structure, base), stack), params.meta_w[ml])
-        else:
-            stack = _gat_on_structure(
-                stack, cm.structure, params.meta_w[ml], params.meta_a[ml], cfg.leaky_slope
-            )
-        if ml < cfg.meta_layers - 1:
-            stack = ad.relu(stack)
-    return ad.row_gather(stack, cm.meta_rows)
+    per_layer = run_model(params, cfg, prepare(cfg, dataset)).per_layer_h
+    return [per_layer[lg.layer_name] for lg in dataset.layers]
 
 
 def predict(params: ModelParams, h_meta) -> np.ndarray:

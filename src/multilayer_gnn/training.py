@@ -135,12 +135,6 @@ class AdamState:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(params, grads, state: AdamState):
-    """Functional wrapper: one update on ``state`` (mutates params in place)."""
-    state.step(grads)
-    return params, state
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -346,7 +340,8 @@ def load_checkpoint(path):
     """Returns (params, config, seed); bit-exact round trip of save.
 
     Every malformed header field raises a CheckpointError naming the file
-    and the field.
+    and the field, including a parameter name or shape that does not match
+    the header's config and ``d_in``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -372,6 +367,7 @@ def load_checkpoint(path):
                          "a positive integer")
     seed = _header_field(path, header, "seed", _is_int, "an integer")
     entries = _header_field(path, header, "params", lambda v: isinstance(v, list), "a list")
+    expected = {name: t.shape for name, t in init_params(cfg, d_in, 0).named()}
 
     tensors = {}
     offset = body_start
@@ -382,8 +378,14 @@ def load_checkpoint(path):
                                   f"got {entry!r}")
         name = _header_field(path, entry, "name", lambda v: isinstance(v, str), "a string",
                              prefix=f"{where}.")
+        if name not in expected:
+            raise CheckpointError(f"{path}: header field '{where}.name' is not a parameter "
+                                  f"of the configured model, got {name!r}")
         rows, cols = _header_field(path, entry, "shape", _is_shape,
                                    "[rows, cols] of non-negative integers", prefix=f"{where}.")
+        if (rows, cols) != expected[name]:
+            raise CheckpointError(f"{path}: header field '{where}.shape' must be "
+                                  f"{list(expected[name])} for {name!r}, got {[rows, cols]}")
         nbytes = rows * cols * 8
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:

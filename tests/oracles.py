@@ -5,6 +5,7 @@ enumeration) and shares no code with the package under test.
 """
 
 import numpy as np
+from scipy import sparse as sp
 
 
 def fd_grad(f, x, h=1e-5):
@@ -158,3 +159,34 @@ def select_threshold_scan(scores, labels, precision_target):
     if chosen is None:
         raise ScanUnattainable(best)
     return chosen
+
+
+def edge_structure_fields(n_dst, n_src, dst, src):
+    """Every array an EdgeStructure derives from its edge list, built with
+    lexsort and unique the way the original constructor did."""
+    dst = np.asarray(dst, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
+    order = np.lexsort((src, dst))
+    dst, src = dst[order], src[order]
+    row_ids, row_starts, counts = np.unique(dst, return_index=True, return_counts=True)
+    perm_by_src = np.lexsort((dst, src))
+    col_ids, col_starts = np.unique(src[perm_by_src], return_index=True)
+    indptr = np.zeros(n_dst + 1, dtype=np.int64)
+    np.add.at(indptr, dst + 1, 1)
+    indptr_t = np.zeros(n_src + 1, dtype=np.int64)
+    np.add.at(indptr_t, src + 1, 1)
+    mat = sp.csr_matrix(
+        (np.zeros(dst.size), src.astype(np.int64), np.cumsum(indptr)), shape=(n_dst, n_src)
+    )
+    mat_t = sp.csr_matrix(
+        (np.zeros(dst.size), dst[perm_by_src].astype(np.int64), np.cumsum(indptr_t)),
+        shape=(n_src, n_dst),
+    )
+    return {
+        "order": order, "dst": dst, "src": src,
+        "_row_ids": row_ids, "_row_starts": row_starts,
+        "_edge_seg": np.repeat(np.arange(row_ids.size), counts),
+        "_perm_by_src": perm_by_src, "_col_ids": col_ids, "_col_starts": col_starts,
+        "_mat.indices": mat.indices, "_mat.indptr": mat.indptr,
+        "_mat_t.indices": mat_t.indices, "_mat_t.indptr": mat_t.indptr,
+    }

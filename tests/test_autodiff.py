@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilayer_gnn import autodiff as ad
 from multilayer_gnn.errors import NumericError
 
-from oracles import fd_grad, grad_err
+from oracles import edge_structure_fields, fd_grad, grad_err
 
 
 def scalar_sum(t):
@@ -66,6 +68,38 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+
+
+@st.composite
+def _edge_lists(draw):
+    """A node-set size per side and an edge list over them, duplicates allowed."""
+    n_dst = draw(st.integers(0, 7))
+    n_src = draw(st.integers(0, 7))
+    if n_dst == 0 or n_src == 0:
+        return n_dst, n_src, [], []
+    edges = draw(st.lists(st.tuples(st.integers(0, n_dst - 1), st.integers(0, n_src - 1)),
+                          max_size=40))
+    return n_dst, n_src, [d for d, _ in edges], [s for _, s in edges]
+
+
+class TestEdgeStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_lists())
+    def test_matches_reference_layout(self, graph):
+        n_dst, n_src, dst, src = graph
+        s = ad.EdgeStructure(n_dst, n_src, np.array(dst, dtype=int), np.array(src, dtype=int))
+        got = {
+            "order": s.order, "dst": s.dst, "src": s.src,
+            "_row_ids": s._row_ids, "_row_starts": s._row_starts, "_edge_seg": s._edge_seg,
+            "_perm_by_src": s._perm_by_src, "_col_ids": s._col_ids,
+            "_col_starts": s._col_starts,
+            "_mat.indices": s._mat.indices, "_mat.indptr": s._mat.indptr,
+            "_mat_t.indices": s._mat_t.indices, "_mat_t.indptr": s._mat_t.indptr,
+        }
+        want = edge_structure_fields(n_dst, n_src, dst, src)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype, name
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
 
 class TestSpmm:

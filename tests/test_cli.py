@@ -278,6 +278,61 @@ class TestCorruptCheckpointHeader:
         assert "Traceback" not in err
 
 
+class TestCheckpointParamShapes:
+    @pytest.mark.parametrize("key, change, shown", [
+        ("shape", lambda shape: shape[::-1], "'head.w2'"),
+        ("name", lambda name: "head.w3", "'head.w3'"),
+    ], ids=["transposed-shape", "unknown-name"])
+    def test_discover_exits_2_naming_the_entry(self, ws, tmp_path, capsys, key, change, shown):
+        where = {}
+
+        def edit(header):
+            i = next(i for i, e in enumerate(header["params"]) if e["name"] == "head.w2")
+            header["params"][i][key] = change(header["params"][i][key])
+            where["field"] = f"'params[{i}].{key}'"
+            return header
+
+        bad = tmp_path / "bad.bin"
+        _rewrite_header(ws["checkpoint"], bad, edit)
+        assert run("discover", "--config", ws["config"], "--checkpoint", bad,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: header field {where['field']}" in err
+        assert shown in err
+        assert "Traceback" not in err
+
+
+def _rename_gene(src_dir, dst_dir, old, new):
+    """Copy the data files of a synth run with gene ``old`` renamed ``new``."""
+    dst_dir.mkdir()
+    for path in src_dir.iterdir():
+        if path.suffix in (".tsv", ".csv", ".gmt"):
+            (dst_dir / path.name).write_text(path.read_text().replace(old, new))
+
+
+class TestExplainFileNames:
+    def test_slash_and_percent_are_encoded(self, ws, tmp_path):
+        data_dir = tmp_path / "data"
+        _rename_gene(ws["data"], data_dir, "G0003", "A/B")
+        cfg = json.loads(ws["config"].read_text())
+        for entry in cfg["paths"]["layers"]:
+            entry["path"] = str(data_dir / Path(entry["path"]).name)
+        for key in ("features", "labels", "gene_sets"):
+            cfg["paths"][key] = str(data_dir / Path(cfg["paths"][key]).name)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        assert run("explain", "--config", cfg_path, "--checkpoint", ws["checkpoint"],
+                   "--genes", "A/B,G0002", "--out", out) == 0
+        names = sorted(p.name for p in out.glob("explain_*.json"))
+        assert names == ["explain_A%2FB.json", "explain_G0002.json"]
+        assert json.loads((out / "explain_A%2FB.json").read_text())["gene"] == "A/B"
+
+    def test_filename_escaping(self):
+        assert cli._explain_filename("G0002") == "explain_G0002.json"
+        assert cli._explain_filename("a%2Fb/c") == "explain_a%252Fb%2Fc.json"
+
+
 class TestGsea:
     def test_enrichment_on_ranking(self, ws, tmp_path):
         disc = tmp_path / "disc"

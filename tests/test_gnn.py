@@ -355,3 +355,38 @@ class TestStackedMetaLayers:
                     _t.data = old
 
             assert grad_err(grads[tensor], fd_grad(f, tensor.data)) < 1e-4, name
+
+
+class TestOneMessagePassingPath:
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_all_ones_multipliers_bit_identical(self, arch, meta_layers):
+        ds = build_dataset()
+        cfg = gnn.GnnConfig(arch=arch, encoder_layers=2, hidden_dim=4,
+                            meta_layers=meta_layers, meta_hidden_dim=4)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=14)
+        prep = gnn.prepare(cfg, ds)
+        plain = gnn.run_model(params, cfg, prep).logits.data
+        ones = gnn.run_model(
+            params, cfg, prep,
+            meta_multiplier=ad.variable(np.ones((prep.compiled_meta.structure.n_edges, 1))),
+            layer_multipliers={
+                name: ad.constant(np.ones((s.n_edges, 1)))
+                for name, s in zip(prep.layer_names, prep.structures)
+            },
+        ).logits.data
+        assert ones.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_prepare_builds_one_structure_per_graph(self, arch, monkeypatch):
+        built = []
+        original = ad.EdgeStructure
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ad, "EdgeStructure", counted)
+        ds = build_dataset(layer_edges=[[(0, 1)], [(1, 2)], [(2, 3)]])
+        gnn.prepare(tiny_cfg(arch=arch), ds)
+        assert len(built) == ds.n_layers + 1
