@@ -36,100 +36,39 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = ("arch", "encoder_layers", "hidden_dim", "meta_layers", "meta_hidden_dim",
-               "leaky_slope")
-_TRAINING_DEFAULTS = {
-    "epochs": 2000, "lr": 0.001, "test_frac": 0.25, "val_frac": 0.10,
-    "pos_weight": 1.0,
-}
-_EXPLAIN_DEFAULTS = {"steps": 64, "edge_ig_scope": "target"}
-_ABLATION_DEFAULTS = {"mode": "none", "fraction": 0.2, "seeds": [1, 2, 3]}
-
-
-def _model_defaults() -> dict:
-    """The configurable model fields with GnnConfig's defaults."""
-    from .gnn import GnnConfig
-
-    defaults = GnnConfig()
-    return {key: getattr(defaults, key) for key in _MODEL_KEYS}
-
-
-def _require(cond, field, message):
-    from .errors import ConfigError
-
-    if not cond:
-        raise ConfigError(f"{field}: {message}")
-
-
-def load_config(path, seed_override=None, out_override=None) -> dict:
-    """Parse, default-fill, and validate a run configuration."""
-    from .errors import ConfigError
-
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _read_json(path, error):
+    """The parsed JSON file at ``path``; an ``error`` naming it if it does not parse."""
     try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise error(f"{path}: not valid JSON ({err})") from err
 
-    known_top = {"paths", "model", "training", "explain", "ablation",
-                 "output_dir", "log_level"}
-    for key in cfg:
-        _require(key in known_top, key, "unknown configuration section")
-    cfg.setdefault("paths", {})
-    for section, defaults, extra in (
-        ("model", _model_defaults(), ()),
-        ("training", _TRAINING_DEFAULTS, ("seed", "test_layer")),
-        ("explain", _EXPLAIN_DEFAULTS, ()),
-        ("ablation", _ABLATION_DEFAULTS, ()),
-    ):
-        given = cfg.get(section, {})
-        for key in given:
-            _require(key in defaults or key in extra, f"{section}.{key}", "unknown field")
-        cfg[section] = {**defaults, **given}
-    if seed_override is not None:
-        cfg["training"]["seed"] = seed_override
-    if out_override is not None:
-        cfg["output_dir"] = str(out_override)
-    cfg.setdefault("output_dir", "out")
 
-    paths = cfg["paths"]
-    _require(isinstance(paths.get("layers"), list) and paths["layers"],
-             "paths.layers", "must be a non-empty list of {name, path}")
-    seen = set()
-    for i, entry in enumerate(paths["layers"]):
-        _require(isinstance(entry, dict) and "name" in entry and "path" in entry,
-                 f"paths.layers[{i}]", "must have 'name' and 'path'")
-        _require(entry["name"] not in seen, f"paths.layers[{i}].name", "duplicate layer name")
-        seen.add(entry["name"])
-        _require(Path(entry["path"]).exists(), f"paths.layers[{i}].path",
-                 f"file not found: {entry['path']}")
-    for key in ("features", "labels"):
-        _require(key in paths, f"paths.{key}", "missing")
-        _require(Path(paths[key]).exists(), f"paths.{key}", f"file not found: {paths[key]}")
-    if "gene_sets" in paths:
-        _require(Path(paths["gene_sets"]).exists(), "paths.gene_sets",
-                 f"file not found: {paths['gene_sets']}")
+def load_config(path, overrides=None) -> dict:
+    """Parse, default-fill, and check a run configuration.
 
-    _require("seed" in cfg["training"], "training.seed", "missing (a seed is mandatory)")
-    _require(isinstance(cfg["training"]["seed"], int), "training.seed", "must be an integer")
-    _require("test_layer" in cfg["training"], "training.test_layer", "missing")
-    _require(cfg["training"]["test_layer"] in seen, "training.test_layer",
-             f"not one of the configured layers {sorted(seen)}")
-    _require(cfg["explain"]["edge_ig_scope"] in ("target", "global"),
-             "explain.edge_ig_scope", "must be 'target' or 'global'")
+    ``overrides`` maps a section name, or ``""`` for the top level, to the
+    fields that command-line flags set; those that are not None replace the
+    file's values before the check.
+    """
+    from .config import RunConfig, check_section
+    from .errors import ConfigError
+
+    raw = _read_json(path, ConfigError)
+    for where, flags in (overrides or {}).items():
+        section = raw.setdefault(where, {}) if where and isinstance(raw, dict) else raw
+        if isinstance(section, dict):  # anything else fails the check below
+            section.update((key, value) for key, value in flags.items() if value is not None)
+    # the activation is fixed: only checkpoint headers carry it
+    cfg = check_section(RunConfig, raw, "", omit=("activation",))
+    names = [entry["name"] for entry in cfg["paths"]["layers"]]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"'paths.layers[{i}].name' repeats layer name {name!r}")
+    if cfg["training"]["test_layer"] not in names:
+        raise ConfigError(f"'training.test_layer' must name one of 'paths.layers' {names}, "
+                          f"got {cfg['training']['test_layer']!r}")
     return cfg
-
-
-def _gnn_config(cfg):
-    from .errors import ConfigError
-    from .gnn import GnnConfig
-
-    try:
-        return GnnConfig(**cfg["model"]).validate()
-    except TypeError as err:
-        raise ConfigError(f"model: {err}") from err
 
 
 def _load_dataset(cfg):
@@ -206,11 +145,12 @@ def cmd_ingest(cfg) -> int:
 
 def cmd_train(cfg) -> int:
     from . import training as tr
+    from .config import GnnConfig
 
     outdir = _outdir(cfg)
     _setup_logging(cfg.get("log_level", "info"), outdir)
     dataset = _load_dataset(cfg)
-    model_cfg = _gnn_config(cfg)
+    model_cfg = GnnConfig(**cfg["model"])
     t = cfg["training"]
     split = tr.stratified_split(
         dataset.labels, dataset, t["test_layer"],
@@ -249,7 +189,7 @@ def cmd_evaluate(cfg, checkpoint, split_path=None) -> int:
     import numpy as np
 
     from . import training as tr
-    from .autodiff import sigmoid
+    from .errors import ConfigError, DataError
     from .gnn import forward
 
     outdir = _outdir(cfg)
@@ -258,7 +198,13 @@ def cmd_evaluate(cfg, checkpoint, split_path=None) -> int:
     params, model_cfg, _ = _load_checkpoint_for(cfg, checkpoint, dataset)
     t = cfg["training"]
     if split_path:
-        split = tr.SplitSpec.from_dict(json.loads(Path(split_path).read_text()))
+        try:
+            split = tr.SplitSpec.from_dict(_read_json(split_path, DataError))
+        except ConfigError as err:
+            raise DataError(f"{split_path}: {err}") from err
+        unlabeled = {*split.test_ids, *split.train_ids, *split.val_ids} - set(dataset.labels.labels)
+        if unlabeled:
+            raise DataError(f"{split_path}: gene id {min(unlabeled)} is not a labeled gene")
     else:
         split = tr.stratified_split(
             dataset.labels, dataset, t["test_layer"],
@@ -358,8 +304,8 @@ def _ranked_from_file(path):
 
     path = Path(path)
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        entries = payload.get("top_neighbors")
+        payload = _read_json(path, DataError)
+        entries = payload.get("top_neighbors") if isinstance(payload, dict) else None
         if not entries:
             raise DataError("explain JSON has no top_neighbors section", path=str(path))
         return an.RankedGeneList((e["gene"], e["importance"]) for e in entries)
@@ -381,23 +327,19 @@ def cmd_gsea(ranked_path, gene_sets_path, permutations, seed, outdir, log_level=
     return EXIT_OK
 
 
-_ABLATION_MODES = ("none", "random_features", "all_one", "edge_removal")
-
-
-def cmd_ablate(cfg, mode, fraction, seeds) -> int:
+def cmd_ablate(cfg) -> int:
     import numpy as np
 
     from . import training as tr
+    from .config import GnnConfig
     from .data import perturb_features, remove_edges
-    from .errors import ConfigError
 
-    if mode not in _ABLATION_MODES:
-        raise ConfigError(f"ablate.mode: must be one of {_ABLATION_MODES}")
     outdir = _outdir(cfg)
     _setup_logging(cfg.get("log_level", "info"), outdir)
     base = _load_dataset(cfg)
-    model_cfg = _gnn_config(cfg)
+    model_cfg = GnnConfig(**cfg["model"])
     t = cfg["training"]
+    mode, fraction, seeds = (cfg["ablation"][key] for key in ("mode", "fraction", "seeds"))
 
     scores = []
     for seed in seeds:
@@ -435,6 +377,7 @@ def cmd_ablate(cfg, mode, fraction, seeds) -> int:
 
 def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_level="info") -> int:
     from . import synth
+    from .config import RunConfig, check_section
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -445,20 +388,11 @@ def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_
     )
     sets = synth.planted_gene_sets(truth, seed=seed)
     paths = synth.write_planted(outdir, dataset, truth, sets)
-    config = {
-        "paths": {
-            "layers": paths["layers"],
-            "features": paths["features"],
-            "labels": paths["labels"],
-            "gene_sets": paths["gene_sets"],
-        },
-        "model": _model_defaults(),
-        "training": {**_TRAINING_DEFAULTS, "seed": seed,
-                     "test_layer": dataset.layers[0].layer_name},
-        "explain": dict(_EXPLAIN_DEFAULTS),
-        "ablation": dict(_ABLATION_DEFAULTS),
+    config = check_section(RunConfig, {
+        "paths": {key: paths[key] for key in ("layers", "features", "labels", "gene_sets")},
+        "training": {"seed": seed, "test_layer": dataset.layers[0].layer_name},
         "output_dir": str(outdir / "run"),
-    }
+    }, "", omit=("activation", "log_level"))  # the log level is left to the flag
     _write_json(outdir / "config.json", config)
     logger.info("wrote planted dataset (%d genes, %d layers) under %s",
                 n_genes, n_layers, outdir)
@@ -470,10 +404,22 @@ def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_
 # ---------------------------------------------------------------------------
 
 def _build_parser():
+    from .config import LOG_LEVELS
+
+    def at_least(lo):
+        def integer(text):
+            if int(text) < lo:
+                raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
+            return int(text)
+        return integer
+
+    def integers(text):
+        return [int(s) for s in text.split(",") if s.strip()]
+
     parser = _Parser(prog="mgnn",
                      description="Multilayer GNN training, explanation, and analysis")
-    parser.add_argument("--log-level", default="info",
-                        choices=["debug", "info", "warning", "error"])
+    parser.add_argument("--log-level", default=None, choices=LOG_LEVELS,
+                        help="overrides log_level (default info)")
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS thread cap (1 guarantees bit-reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -506,22 +452,23 @@ def _build_parser():
     p.add_argument("--ranked", required=True,
                    help="ranking CSV (gene,score) or an explain output JSON")
     p.add_argument("--gene-sets", required=True, help="GMT file")
-    p.add_argument("--permutations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--permutations", type=at_least(0), default=1000)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", default="out")
 
     p = with_config(sub.add_parser("ablate", help="train under input perturbations"))
-    p.add_argument("--mode", default=None, choices=_ABLATION_MODES,
-                   help="overrides the config's ablation.mode")
-    p.add_argument("--fraction", type=float, default=None, help="edge_removal fraction")
-    p.add_argument("--seeds", default=None, help="comma-separated run seeds")
+    p.add_argument("--mode", default=None, help="overrides ablation.mode")
+    p.add_argument("--fraction", type=float, default=None, help="overrides ablation.fraction")
+    p.add_argument("--seeds", type=integers, default=None,
+                   help="comma-separated run seeds; overrides ablation.seeds")
 
     p = sub.add_parser("synth", help="generate a planted dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-genes", type=int, default=200)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--n-features", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    # the smallest planted task synth.planted_dataset builds
+    p.add_argument("--n-genes", type=at_least(8), default=200)
+    p.add_argument("--n-layers", type=at_least(1), default=2)
+    p.add_argument("--n-features", type=at_least(4), default=16)
+    p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--variant", default="complementary", choices=["complementary", "single"])
     p.add_argument("--signal", type=float, default=1.0)
     return parser
@@ -555,13 +502,17 @@ def main(argv=None) -> int:
 
         if args.command == "gsea":
             return cmd_gsea(args.ranked, args.gene_sets, args.permutations,
-                            args.seed, args.out, args.log_level)
+                            args.seed, args.out, args.log_level or "info")
         if args.command == "synth":
             return cmd_synth(args.out, args.n_genes, args.n_layers, args.n_features,
-                             args.seed, args.variant, args.signal, args.log_level)
+                             args.seed, args.variant, args.signal, args.log_level or "info")
 
-        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        cfg["log_level"] = args.log_level
+        overrides = {"": {"output_dir": args.out, "log_level": args.log_level},
+                     "training": {"seed": args.seed}}
+        if args.command == "ablate":
+            overrides["ablation"] = {"mode": args.mode, "fraction": args.fraction,
+                                     "seeds": args.seeds}
+        cfg = load_config(args.config, overrides)
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "train":
@@ -584,16 +535,7 @@ def main(argv=None) -> int:
         if args.command == "discover":
             return cmd_discover(cfg, args.checkpoint, args.threshold, args.precision_target)
         if args.command == "ablate":
-            abl = cfg["ablation"]
-            mode = args.mode if args.mode is not None else abl["mode"]
-            fraction = args.fraction if args.fraction is not None else abl["fraction"]
-            if args.seeds is not None:
-                seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-            else:
-                seeds = list(abl["seeds"])
-            if not seeds:
-                raise _UsageError("ablate needs at least one seed")
-            return cmd_ablate(cfg, mode, fraction, seeds)
+            return cmd_ablate(cfg)
         raise _UsageError(f"unknown command {args.command!r}")
     except (_UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -604,6 +546,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except FileNotFoundError as err:  # a path given by a flag
+        print(f"error: {err.filename}: file not found", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

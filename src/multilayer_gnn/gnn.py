@@ -18,32 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import GAT, GCN, GnnConfig
 from .data import LayerGraph, MultilayerDataset
 from .errors import ConfigError
-
-GCN, GAT = "gcn", "gat"
-
-
-@dataclass(frozen=True)
-class GnnConfig:
-    arch: str = GCN
-    encoder_layers: int = 3
-    hidden_dim: int = 64
-    meta_layers: int = 1
-    meta_hidden_dim: int = 64
-    leaky_slope: float = 0.2
-    activation: str = "relu"
-
-    def validate(self):
-        if self.arch not in (GCN, GAT):
-            raise ConfigError(f"arch must be '{GCN}' or '{GAT}', got {self.arch!r}")
-        if self.encoder_layers < 1 or self.meta_layers < 1:
-            raise ConfigError("layer counts must be >= 1")
-        if self.hidden_dim < 1 or self.meta_hidden_dim < 1:
-            raise ConfigError("hidden dimensions must be >= 1")
-        if self.activation != "relu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
-        return self
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -111,38 +88,34 @@ class ModelParams:
         )
 
 
+def param_shapes(cfg: GnnConfig, d_in: int):
+    """``(name, (rows, cols))`` of every parameter, in checkpoint order."""
+    h, mh = cfg.hidden_dim, cfg.meta_hidden_dim
+    shapes = []
+    for stage, n_layers, d_first, d in (("enc", cfg.encoder_layers, d_in, h),
+                                        ("meta", cfg.meta_layers, h, mh)):
+        for i in range(n_layers):
+            shapes.append((f"{stage}{i}.w", (d if i else d_first, d)))
+            if cfg.arch == GAT:
+                shapes.append((f"{stage}{i}.a", (2 * d, 1)))
+        if stage == "enc":
+            shapes.append(("xproj.w", (d_in, h)))
+    return shapes + [("head.w1", (mh, mh)), ("head.b1", (1, mh)), ("head.w2", (mh, 1)),
+                     ("head.b2", (1, 1))]
+
+
 def init_params(cfg: GnnConfig, d_in: int, seed: int) -> ModelParams:
-    """Glorot-uniform initialization from a seeded generator; biases zero."""
+    """Glorot-uniform initialization from a seeded generator, drawn in
+    checkpoint order; biases zero."""
     cfg.validate()
     if d_in < 1:
         raise ConfigError("input feature dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    h, mh = cfg.hidden_dim, cfg.meta_hidden_dim
-
-    enc_w, enc_a = [], []
-    d_prev = d_in
-    for _ in range(cfg.encoder_layers):
-        enc_w.append(ad.variable(_glorot(rng, d_prev, h, (d_prev, h))))
-        if cfg.arch == GAT:
-            enc_a.append(ad.variable(_glorot(rng, 2 * h, 1, (2 * h, 1))))
-        d_prev = h
-
-    xproj = ad.variable(_glorot(rng, d_in, h, (d_in, h)))
-
-    meta_w, meta_a = [], []
-    d_prev = h
-    for _ in range(cfg.meta_layers):
-        meta_w.append(ad.variable(_glorot(rng, d_prev, mh, (d_prev, mh))))
-        if cfg.arch == GAT:
-            meta_a.append(ad.variable(_glorot(rng, 2 * mh, 1, (2 * mh, 1))))
-        d_prev = mh
-
-    head_w1 = ad.variable(_glorot(rng, mh, mh, (mh, mh)))
-    head_b1 = ad.variable(np.zeros((1, mh)))
-    head_w2 = ad.variable(_glorot(rng, mh, 1, (mh, 1)))
-    head_b2 = ad.variable(np.zeros((1, 1)))
-    return ModelParams(cfg.arch, d_in, enc_w, enc_a, xproj, meta_w, meta_a,
-                       head_w1, head_b1, head_w2, head_b2)
+    tensors = {}
+    for name, shape in param_shapes(cfg, d_in):
+        bias = name.startswith("head.b")
+        tensors[name] = ad.variable(np.zeros(shape) if bias else _glorot(rng, *shape, shape))
+    return ModelParams._from_dict(cfg.arch, d_in, cfg.encoder_layers, cfg.meta_layers, tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import at_least, check_section, int_list, rule
 from .data import LabelSet, MultilayerDataset, POSITIVE
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .gnn import GnnConfig, ModelParams, init_params, prepare, run_model
+from .gnn import GnnConfig, ModelParams, init_params, param_shapes, prepare, run_model
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +31,10 @@ from .gnn import GnnConfig, ModelParams, init_params, prepare, run_model
 @dataclass(frozen=True)
 class SplitSpec:
     test_layer: str
-    test_ids: tuple
-    train_ids: tuple
-    val_ids: tuple
-    seed: int
+    test_ids: tuple = int_list(0)
+    train_ids: tuple = int_list(0)
+    val_ids: tuple = int_list(0)
+    seed: int = at_least(0)
 
     def as_dict(self):
         return {
@@ -46,6 +47,8 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """The split ``as_dict`` wrote; a ConfigError names a malformed field."""
+        d = check_section(cls, d, "")
         return cls(
             d["test_layer"], tuple(d["test_ids"]), tuple(d["train_ids"]),
             tuple(d["val_ids"]), d["seed"],
@@ -198,7 +201,6 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
           pos_weight: float = 1.0, loss_ids_observer=None):
     """Full-batch training; returns (best-validation params, report)."""
     started = time.perf_counter()
-    cfg.validate()
     params = init_params(cfg, dataset.features.n_features, seed)
     prep = prepare(cfg, dataset)
 
@@ -290,50 +292,19 @@ def save_checkpoint(params: ModelParams, cfg: GnnConfig, seed: int, path):
             fh.write(t.data.astype("<f8").tobytes())
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class _ParamEntry:
+    name: str
+    shape: list = int_list(0, "a list of 2", lambda n: n == 2)
 
 
-def _is_shape(value):
-    return (isinstance(value, list) and len(value) == 2
-            and all(_is_int(n) and n >= 0 for n in value))
-
-
-# header checks for the GnnConfig field types, keyed by the type of the default
-_CONFIG_CHECKS = {
-    int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-
-
-def _header_field(path, mapping, key, check, want, prefix=""):
-    """``mapping[key]`` if present and ``check(value)``, else a
-    CheckpointError naming the file and the field."""
-    if key not in mapping:
-        raise CheckpointError(f"{path}: header field '{prefix}{key}' is missing")
-    value = mapping[key]
-    if not check(value):
-        raise CheckpointError(
-            f"{path}: header field '{prefix}{key}' must be {want}, got {value!r}"
-        )
-    return value
-
-
-def _header_config(path, header):
-    """The header's model config: exactly the GnnConfig fields, each of its
-    default's type."""
-    raw = _header_field(path, header, "config", lambda v: isinstance(v, dict), "an object")
-    kinds = {f.name: type(f.default) for f in fields(GnnConfig)}
-    unknown = sorted(raw.keys() - kinds.keys())
-    if unknown:
-        raise CheckpointError(f"{path}: header field 'config.{unknown[0]}' is unknown")
-    for key, kind in kinds.items():
-        _header_field(path, raw, key, *_CONFIG_CHECKS[kind], prefix="config.")
-    try:
-        return GnnConfig(**raw).validate()
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: header field 'config' is invalid: {err}") from err
+@dataclass(frozen=True)
+class _Header:
+    version: int = at_least(1)
+    seed: int = at_least(0)
+    d_in: int = at_least(1)
+    config: dict
+    params: list = rule(schema=_ParamEntry)
 
 
 def load_checkpoint(path):
@@ -362,39 +333,38 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version} (supported: {_VERSION})"
         )
-    cfg = _header_config(path, header)
-    d_in = _header_field(path, header, "d_in", lambda v: _is_int(v) and v >= 1,
-                         "a positive integer")
-    seed = _header_field(path, header, "seed", _is_int, "an integer")
-    entries = _header_field(path, header, "params", lambda v: isinstance(v, list), "a list")
-    expected = {name: t.shape for name, t in init_params(cfg, d_in, 0).named()}
+    try:
+        header = check_section(_Header, header, "")
+        try:
+            cfg = GnnConfig(**check_section(GnnConfig, header["config"], "config", complete=True))
+        except ConfigError as err:
+            raise ConfigError(f"'config' is invalid: {err}") from err
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: header field {err}") from err
+    d_in, seed, entries = header["d_in"], header["seed"], header["params"]
+    # every layer has a parameter: this bounds the work param_shapes does
+    if cfg.encoder_layers + cfg.meta_layers > len(entries):
+        raise CheckpointError(f"{path}: header field 'params' lists {len(entries)} parameters, "
+                              f"too few for the layers of its 'config'")
+    expected = dict(param_shapes(cfg, d_in))
+    shapes = [tuple(entry["shape"]) for entry in entries]
+    have, need = len(raw) - body_start, 8 * sum(rows * cols for rows, cols in shapes)
+    if have != need:
+        raise CheckpointError(f"{path}: truncated or padded: header field 'params' lists "
+                              f"{need} bytes of parameters, the file holds {have}")
 
-    tensors = {}
-    offset = body_start
-    for i, entry in enumerate(entries):
-        where = f"params[{i}]"
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: header field '{where}' must be an object, "
-                                  f"got {entry!r}")
-        name = _header_field(path, entry, "name", lambda v: isinstance(v, str), "a string",
-                             prefix=f"{where}.")
+    tensors, offset = {}, body_start
+    for i, (entry, (rows, cols)) in enumerate(zip(entries, shapes)):
+        name = entry["name"]
         if name not in expected:
-            raise CheckpointError(f"{path}: header field '{where}.name' is not a parameter "
+            raise CheckpointError(f"{path}: header field 'params[{i}].name' is not a parameter "
                                   f"of the configured model, got {name!r}")
-        rows, cols = _header_field(path, entry, "shape", _is_shape,
-                                   "[rows, cols] of non-negative integers", prefix=f"{where}.")
         if (rows, cols) != expected[name]:
-            raise CheckpointError(f"{path}: header field '{where}.shape' must be "
+            raise CheckpointError(f"{path}: header field 'params[{i}].shape' must be "
                                   f"{list(expected[name])} for {name!r}, got {[rows, cols]}")
-        nbytes = rows * cols * 8
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated parameter block {name!r}")
-        arr = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols).copy()
+        arr = np.frombuffer(raw, "<f8", rows * cols, offset).reshape(rows, cols).copy()
         tensors[name] = ad.variable(arr, name=name)
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} unexpected trailing bytes")
+        offset += 8 * rows * cols
 
     try:
         params = ModelParams._from_dict(

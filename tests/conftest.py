@@ -1,8 +1,17 @@
 """Shared toy dataset builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from multilayer_gnn import data as dm
+
+# pytest's ``pythonpath`` setting does not reach child processes such as
+# ``python -m multilayer_gnn.cli``; export the source tree to them too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def build_dataset(n=6, d=4, layer_edges=None, layer_nodes=None, labels=None,

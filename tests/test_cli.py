@@ -447,3 +447,155 @@ class TestUsage:
 
     def test_unknown_flag_exit_1(self):
         assert run("train", "--nonexistent-flag") == 1
+
+
+# (command, field, value): each malformed field once ended in a traceback, ran
+# silently, or exited without naming the field
+_FIELD_PROBES = [
+    ("train", "training.epochs", "10"),
+    ("train", "training.lr", "x"),
+    ("train", "training.pos_weight", "a"),
+    ("train", "training.val_frac", "0.1"),
+    ("ablate", "ablation.seeds", 5),
+    ("train", "paths.features", 5),
+    ("train", "paths.gene_sets", 7),
+    ("explain", "explain.steps", 0),
+    ("explain", "explain.steps", "64"),
+    ("train", "model.encoder_layers", 2.5),
+    ("train", "training.test_layer", ["L0"]),
+    ("train", "training.test_frac", 0),
+    ("train", "training.epochs", -1),
+    ("train", "training.epochs", 0),
+    ("train", "training.epochs", True),
+    ("train", "training.seed", True),
+    ("train", "model.leaky_slope", "x"),
+    ("train", "log_level", 5),
+    ("ablate", "ablation.fraction", 2.0),
+    ("train", "training.lr", float("nan")),
+    ("train", "training.test_frac", 1.5),
+    ("train", "model.hidden_dim", "64"),
+    ("train", "model.activation", "relu"),
+]
+
+
+class TestMalformedConfigField:
+    @pytest.mark.parametrize("command, field, value", _FIELD_PROBES,
+                             ids=[f"{field}={value!r}" for _, field, value in _FIELD_PROBES])
+    def test_exits_1_naming_the_field(self, ws, tmp_path, capsys, command, field, value):
+        cfg = json.loads(ws["config"].read_text())
+        *section, key = field.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        extra = []
+        if command == "explain":
+            extra = ["--checkpoint", ws["checkpoint"], "--genes", "G0000"]
+        assert run(command, "--config", bad, "--out", tmp_path / "out", *extra) == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", -1, "training.seed"),
+        ("--mode", "nonsense", "ablation.mode"),
+        ("--fraction", 1.5, "ablation.fraction"),
+        ("--seeds", "", "ablation.seeds"),
+    ])
+    def test_flags_are_checked_as_their_field(self, ws, tmp_path, capsys, flag, value, field):
+        assert run("ablate", "--config", ws["config"], flag, value, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        assert "Traceback" not in err
+
+    def test_flags_are_echoed_in_the_effective_config(self, ws, tmp_path):
+        cfg = json.loads(ws["config"].read_text())
+        cfg["training"]["epochs"] = 20
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "abl"
+        assert run("--log-level", "warning", "ablate", "--config", cfg_path,
+                   "--mode", "all_one", "--seeds", "4", "--out", out) == 0
+        echo = json.loads((out / "effective_config.json").read_text())
+        assert echo["ablation"]["mode"] == "all_one" and echo["ablation"]["seeds"] == [4]
+        assert echo["log_level"] == "warning" and echo["output_dir"] == str(out)
+
+
+class TestUsageFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--n-genes", 0], "--n-genes"),
+        (["synth", "--n-layers", 0], "--n-layers"),
+        (["synth", "--n-features", 3], "--n-features"),
+        (["synth", "--seed", -1], "--seed"),
+        (["synth", "--n-genes", "many"], "--n-genes"),
+        (["gsea", "--ranked", "r.csv", "--gene-sets", "s.gmt", "--permutations", -1],
+         "--permutations"),
+        (["gsea", "--ranked", "r.csv", "--gene-sets", "s.gmt", "--seed", -1], "--seed"),
+    ], ids=["n-genes", "n-layers", "n-features", "synth-seed", "n-genes-text",
+            "permutations", "gsea-seed"])
+    def test_out_of_range_flag_exits_1_naming_it(self, tmp_path, capsys, argv, flag):
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seeds_must_be_integers(self, ws, tmp_path, capsys):
+        assert run("ablate", "--config", ws["config"], "--seeds", "1,b", "--out", tmp_path) == 1
+        assert "argument --seeds" in capsys.readouterr().err
+
+
+class TestMissingFileFlags:
+    @pytest.mark.parametrize("command, flags, missing", [
+        ("evaluate", ["--checkpoint", "{missing}"], "nosuch.bin"),
+        ("evaluate", ["--checkpoint", "{checkpoint}", "--split", "{missing}"], "nosuch.json"),
+        ("explain", ["--checkpoint", "{checkpoint}", "--genes-file", "{missing}"], "nosuch.txt"),
+        ("gsea", ["--ranked", "{missing}", "--gene-sets", "{gene_sets}"], "nosuch.csv"),
+    ], ids=["evaluate-checkpoint", "evaluate-split", "explain-genes-file", "gsea-ranked"])
+    def test_exits_1_naming_the_path(self, ws, tmp_path, capsys, command, flags, missing):
+        values = {"missing": tmp_path / missing, "checkpoint": ws["checkpoint"],
+                  "gene_sets": ws["data"] / "gene_sets.gmt"}
+        config = [] if command == "gsea" else ["--config", ws["config"]]
+        argv = [command, *config, *(flag.format(**values) for flag in flags)]
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / missing}: file not found" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedSideFiles:
+    def test_split_without_test_ids_exits_2(self, ws, tmp_path, capsys):
+        split = json.loads((ws["run"] / "split.json").read_text())
+        del split["test_ids"]
+        bad = tmp_path / "split.json"
+        bad.write_text(json.dumps(split))
+        assert run("evaluate", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--split", bad, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: 'test_ids' is missing" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ids, shown", [(["G0001"], "'val_ids'"), ([10 ** 6], "1000000")])
+    def test_split_with_bad_ids_exits_2(self, ws, tmp_path, capsys, ids, shown):
+        split = json.loads((ws["run"] / "split.json").read_text())
+        split["val_ids"] = ids
+        bad = tmp_path / "split.json"
+        bad.write_text(json.dumps(split))
+        assert run("evaluate", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--split", bad, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and shown in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["split.json", "explain_G0000.json"])
+    def test_not_json_exits_2(self, ws, tmp_path, capsys, name):
+        bad = tmp_path / name
+        bad.write_text("{not json")
+        if name == "split.json":
+            argv = ["evaluate", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                    "--split", bad]
+        else:
+            argv = ["gsea", "--ranked", bad, "--gene-sets", ws["data"] / "gene_sets.gmt"]
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not valid JSON" in err
+        assert "Traceback" not in err
