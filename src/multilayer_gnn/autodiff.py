@@ -8,6 +8,11 @@ with respect to individual edges are available, not just node features.
 Summation orders are fixed (edges sorted by destination then source; segment
 sums run left to right), so repeated evaluation of the same graph is
 bit-identical.
+
+Whether a tensor needs a gradient is fixed when it is built: a leaf needs one
+when it is a variable, an op output when any of its inputs does. An op over
+constants is itself a constant that keeps no tape, so ``backward`` computes
+gradients only along paths that lead to a variable.
 """
 
 from __future__ import annotations
@@ -55,20 +60,23 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class Tensor:
     """A 2-D float64 matrix participating in reverse-mode differentiation.
 
-    ``grad`` is ``None`` until :func:`backward` reaches the node; leaves
-    created with ``requires_grad=False`` never receive gradients.
+    ``grad`` is ``None`` until :func:`backward` reaches the node; tensors
+    with ``needs_grad`` False (constants, and ops over constants only) never
+    receive gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "needs_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
         self.data = _as_matrix(data)
         _check_finite(self.data, name or "tensor construction")
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.needs_grad = self.requires_grad or any(p.needs_grad for p in _parents)
         self.name = name
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        # a tensor that needs no gradient is a constant: it keeps no tape
+        self._parents = tuple(_parents) if self.needs_grad else ()
+        self._backward = _backward if self.needs_grad else None
 
     @property
     def shape(self):
@@ -81,10 +89,6 @@ class Tensor:
     @property
     def cols(self):
         return self.data.shape[1]
-
-    @property
-    def needs_grad(self):
-        return self.requires_grad or bool(self._parents)
 
     def __repr__(self):
         tag = self.name or "tensor"
@@ -212,7 +216,10 @@ def row_gather(x: Tensor, ids) -> Tensor:
     def backward_fn(out):
         if x.needs_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, ids, out.grad)
+            if (ids[1:] > ids[:-1]).all():  # ascending ids: no repeats, same sums as add.at
+                gx[ids] += out.grad
+            else:
+                np.add.at(gx, ids, out.grad)
             _accum(x, gx)
 
     return _op(out_data, (x,), backward_fn, "row_gather")

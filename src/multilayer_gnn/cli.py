@@ -14,8 +14,10 @@ import argparse
 import difflib
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -298,16 +300,30 @@ def cmd_discover(cfg, checkpoint, threshold=None, precision_target=0.95) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class _Neighbor:
+    """One entry of an explain JSON's ``top_neighbors`` list."""
+
+    gene: str
+    importance: float
+
+
 def _ranked_from_file(path):
     from . import analysis as an
-    from .errors import DataError
+    from .config import check_section
+    from .errors import ConfigError, DataError
 
     path = Path(path)
     if path.suffix == ".json":
         payload = _read_json(path, DataError)
         entries = payload.get("top_neighbors") if isinstance(payload, dict) else None
-        if not entries:
+        if not isinstance(entries, list) or not entries:
             raise DataError("explain JSON has no top_neighbors section", path=str(path))
+        try:
+            entries = [check_section(_Neighbor, entry, f"top_neighbors[{i}]")
+                       for i, entry in enumerate(entries)]
+        except ConfigError as err:
+            raise DataError(f"field {err}", path=str(path)) from err
         return an.RankedGeneList((e["gene"], e["importance"]) for e in entries)
     return an.load_ranking_csv(path)
 
@@ -416,6 +432,18 @@ def _build_parser():
     def integers(text):
         return [int(s) for s in text.split(",") if s.strip()]
 
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+        return value
+
+    def fraction(text):
+        value = finite(text)
+        if not 0 < value <= 1:
+            raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+        return value
+
     parser = _Parser(prog="mgnn",
                      description="Multilayer GNN training, explanation, and analysis")
     parser.add_argument("--log-level", default=None, choices=LOG_LEVELS,
@@ -444,9 +472,9 @@ def _build_parser():
 
     p = with_config(sub.add_parser("discover", help="threshold and rank unlabeled genes"))
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=finite, default=None,
                    help="skip threshold selection and use this value")
-    p.add_argument("--precision-target", type=float, default=0.95)
+    p.add_argument("--precision-target", type=fraction, default=0.95)
 
     p = sub.add_parser("gsea", help="preranked enrichment of a gene list")
     p.add_argument("--ranked", required=True,

@@ -145,9 +145,8 @@ def ig_meta_edges(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDatase
                 lm[structure.dst != structure.src, 0] = alpha
                 layer_mults[name] = ad.constant(lm)
 
-        res = run_model(
-            params, cfg, prep, meta_multiplier=mult_var, layer_multipliers=layer_mults
-        )
+        res = run_model(params, cfg, prep, meta_multiplier=mult_var,
+                        layer_multipliers=layer_mults, feature_grad=False)
         target = ad.row_gather(res.logits, [gene])
         ad.backward(target)
         if mult_var.grad is not None:

@@ -177,16 +177,20 @@ def gat_layer(h: ad.Tensor, layer: LayerGraph, w: ad.Tensor, a: ad.Tensor,
     return _gat_on_structure(h, gat_structure(layer), w, a, slope)
 
 
-def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None):
+def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None, spread=None):
     """One stack of message-passing layers over one graph, relu between them.
 
     GCN layers weight the edges by ``base_weights``, GAT layers by their
     attention scores; ``multiplier`` (one value per edge, or None) scales
-    those weights in every layer. The encoder runs this over each layer
-    graph and the meta stage over the star forest.
+    those weights in every layer. ``spread``, when given, is the first GCN
+    layer's neighborhood sum of ``h`` over ``base_weights``, already
+    computed. The encoder runs this over each layer graph and the meta stage
+    over the star forest.
     """
     for l, w in enumerate(ws):
-        if cfg.arch == GCN:
+        if cfg.arch == GCN and l == 0 and spread is not None:
+            h = ad.matmul(spread, w)
+        elif cfg.arch == GCN:
             weights = base_weights if multiplier is None else ad.mul(base_weights, multiplier)
             h = gcn_layer(h, ad.SparseWeighted(structure, weights), w)
         else:
@@ -290,7 +294,9 @@ class _CompiledMeta:
 class PreparedModel:
     """Graph-dependent constants reused across forward passes: canonical
     layer order, each layer graph's edge structure with its GCN weights, and
-    the compiled meta star forest."""
+    the compiled meta star forest. For GCN, ``spreads`` holds each layer
+    graph's first neighborhood sum of the dataset features, which depends on
+    no weight (None for GAT)."""
 
     def __init__(self, cfg: GnnConfig, dataset: MultilayerDataset):
         cfg.validate()
@@ -302,6 +308,13 @@ class PreparedModel:
         self.structures = [_directed_with_self_loops(lg) for lg in layers]
         self.base_weights = [_gcn_weights(lg, s) for lg, s in zip(layers, self.structures)]
         self.compiled_meta = _CompiledMeta(meta, [lg.n_nodes for lg in layers], dataset.n_genes)
+        self.spreads = None
+        if cfg.arch == GCN:
+            x = ad.constant(dataset.features.values, name="features")
+            self.spreads = [
+                ad.spmm(ad.SparseWeighted(s, base), ad.row_gather(x, ids))
+                for s, base, ids in zip(self.structures, self.base_weights, self.node_ids)
+            ]
 
 
 def prepare(cfg: GnnConfig, dataset: MultilayerDataset) -> PreparedModel:
@@ -325,7 +338,7 @@ def head_logits(params: ModelParams, h_meta: ad.Tensor) -> ad.Tensor:
 
 def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
               features: np.ndarray = None, meta_multiplier: ad.Tensor = None,
-              layer_multipliers: dict = None) -> ModelRun:
+              layer_multipliers: dict = None, feature_grad: bool = True) -> ModelRun:
     """Full taped forward pass.
 
     ``features`` overrides the dataset feature matrix (same shape);
@@ -333,18 +346,26 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
     edge weights; ``layer_multipliers`` maps layer name -> (E_layer, 1)
     tensor multiplied onto that layer's edge weights. The multipliers exist
     so that edge attributions can differentiate through them.
+    ``feature_grad=False`` takes the features as a constant: ``backward``
+    then leaves ``x.grad`` None and skips every gradient that only the
+    features need, and a GCN reuses ``prep``'s first-layer sums wherever the
+    dataset features meet an unscaled layer graph. Every output and
+    parameter gradient is bit-identical either way.
     """
     x_data = prep.dataset.features.values if features is None else features
-    x = ad.variable(x_data, name="features")
+    x = (ad.variable if feature_grad else ad.constant)(x_data, name="features")
     multipliers = layer_multipliers or {}
+    cached = features is None and not feature_grad and prep.spreads is not None
 
     per_layer = {}
-    for name, ids, structure, base in zip(
+    for pos, (name, ids, structure, base) in enumerate(zip(
         prep.layer_names, prep.node_ids, prep.structures, prep.base_weights
-    ):
+    )):
+        multiplier = multipliers.get(name)
+        spread = prep.spreads[pos] if cached and multiplier is None else None
+        h = None if spread is not None else ad.row_gather(x, ids)
         per_layer[name] = _propagate(
-            ad.row_gather(x, ids), structure, base, params.enc_w, params.enc_a, cfg,
-            multipliers.get(name),
+            h, structure, base, params.enc_w, params.enc_a, cfg, multiplier, spread
         )
 
     projected = ad.matmul(x, params.xproj)
@@ -377,5 +398,5 @@ def predict(params: ModelParams, h_meta) -> np.ndarray:
 
 def forward(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset) -> np.ndarray:
     """End-to-end probabilities for every catalog gene."""
-    res = run_model(params, cfg, prepare(cfg, dataset))
+    res = run_model(params, cfg, prepare(cfg, dataset), feature_grad=False)
     return ad.sigmoid(res.logits.data[:, 0])

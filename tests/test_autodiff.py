@@ -324,6 +324,65 @@ class TestBackward:
         assert x.grad[0, 0] == 3.0  # not accumulated across tapes
 
 
+@st.composite
+def gather_cases(draw):
+    """(rows, ids, upstream gradient): ids ascending and unique, or
+    arbitrary with repeats; gradients rich in signed zeros."""
+    n = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 3))
+    ids = draw(st.one_of(
+        st.sets(st.integers(0, n - 1)).map(sorted),
+        st.lists(st.integers(0, n - 1), max_size=10),
+    ))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    grad = draw(st.lists(values, min_size=len(ids) * cols, max_size=len(ids) * cols))
+    return n, ids, np.array(grad, dtype=np.float64).reshape(len(ids), cols)
+
+
+class TestPrunedTape:
+    def test_op_over_constants_needs_no_grad(self):
+        a = ad.constant([[1.0, 2.0]])
+        c = ad.relu(ad.add(a, ad.constant([[3.0, -4.0]])))
+        w = ad.variable([[0.5], [2.0]])
+        assert not c.needs_grad
+        ad.backward(ad.matmul(c, w))
+        assert c.grad is None and a.grad is None
+        np.testing.assert_array_equal(w.grad, [[4.0], [0.0]])
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_spmm_weight_grad_only_toward_a_variable(self, trainable, monkeypatch):
+        rng = np.random.default_rng(3)
+        s = random_structure(rng, 5)
+        scale = (ad.variable if trainable else ad.constant)(rng.random((s.n_edges, 1)))
+        w = ad.mul(ad.constant(rng.random((s.n_edges, 1))), scale)
+        h = ad.variable(rng.standard_normal((5, 2)))
+        out = ad.spmm(ad.SparseWeighted(s, w), h)
+        weight_grads = []
+        original = ad._accum
+
+        def counted(t, g):
+            if t is w:
+                weight_grads.append(g)
+            original(t, g)
+
+        monkeypatch.setattr(ad, "_accum", counted)
+        ad.backward(scalar_sum(out))
+        assert len(weight_grads) == int(trainable)
+        assert h.grad is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(gather_cases())
+    def test_row_gather_backward_matches_add_at_bit_for_bit(self, case):
+        n, ids, grad = case
+        x = ad.variable(np.zeros((n, grad.shape[1])))
+        out = ad.row_gather(x, ids)
+        out.grad = grad
+        out._backward(out)
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, np.asarray(ids, dtype=np.intp), grad)
+        assert x.grad.tobytes() == expected.tobytes()
+
+
 class TestFiniteness:
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):

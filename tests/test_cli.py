@@ -599,3 +599,45 @@ class TestMalformedSideFiles:
         err = capsys.readouterr().err
         assert f"error: {bad}: not valid JSON" in err
         assert "Traceback" not in err
+
+
+class TestMalformedRankedJson:
+    @pytest.mark.parametrize("entries, field", [
+        ([{"gene": "G0001"}], "'top_neighbors[0].importance' is missing"),
+        ([{"gene": "G0001", "importance": 0.5}, {"importance": 0.1}],
+         "'top_neighbors[1].gene' is missing"),
+        ([{"gene": "G0001", "importance": "high"}], "'top_neighbors[0].importance' must be"),
+        ([{"gene": "G0001", "importance": float("nan")}], "'top_neighbors[0].importance' must"),
+        ([{"gene": 7, "importance": 0.5}], "'top_neighbors[0].gene' must be"),
+        ([["G0001", 0.5]], "'top_neighbors[0]' must be an object"),
+    ], ids=["no-importance", "no-gene", "text-importance", "nan-importance", "int-gene",
+            "list-entry"])
+    def test_gsea_exits_2_naming_the_entry(self, ws, tmp_path, capsys, entries, field):
+        bad = tmp_path / "explain_G0000.json"
+        bad.write_text(json.dumps({"gene": "G0000", "top_neighbors": entries}))
+        assert run("gsea", "--ranked", bad, "--gene-sets", ws["data"] / "gene_sets.gmt",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: field {field}" in err
+        assert "Traceback" not in err
+
+
+class TestDiscoverFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "high"),
+        ("--precision-target", "nan"), ("--precision-target", "0"),
+        ("--precision-target", "1.5"), ("--precision-target", "-0.5"),
+    ])
+    def test_bad_value_exits_1_naming_the_flag(self, ws, tmp_path, capsys, flag, value):
+        assert run("discover", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   f"{flag}={value}", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_precision_target_one_accepted(self, ws, tmp_path):
+        out = tmp_path / "out"
+        assert run("discover", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--precision-target", "1", "--out", out) == 0
+        assert "precision_target=1.0" in (out / "candidates.csv").read_text()

@@ -390,3 +390,48 @@ class TestOneMessagePassingPath:
         ds = build_dataset(layer_edges=[[(0, 1)], [(1, 2)], [(2, 3)]])
         gnn.prepare(tiny_cfg(arch=arch), ds)
         assert len(built) == ds.n_layers + 1
+
+
+class TestFeatureGrad:
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_constant_features_bit_identical(self, arch, meta_layers):
+        ds = build_dataset()
+        cfg = gnn.GnnConfig(arch=arch, encoder_layers=2, hidden_dim=4,
+                            meta_layers=meta_layers, meta_hidden_dim=4)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=5)
+        prep = gnn.prepare(cfg, ds)
+
+        def run(**kwargs):
+            res = gnn.run_model(params, cfg, prep, **kwargs)
+            grads = ad.backward(ad.row_gather(res.logits, [1]), params.tensors())
+            return res, [grads[t].tobytes() for t in params.tensors()]
+
+        plain, plain_grads = run()
+        const, const_grads = run(feature_grad=False)
+        assert const.logits.data.tobytes() == plain.logits.data.tobytes()
+        assert const_grads == plain_grads
+        assert plain.x.grad is not None
+        assert const.x.grad is None
+
+    @pytest.mark.parametrize("encoder_layers", [1, 2])
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_gcn_epoch_skips_first_layer_sums(self, encoder_layers, meta_layers, monkeypatch):
+        from multilayer_gnn import training as tr
+
+        ds = build_dataset(layer_edges=[[(0, 1)], [(1, 2)], [(2, 3), (4, 5)]])
+        cfg = gnn.GnnConfig(encoder_layers=encoder_layers, hidden_dim=3,
+                            meta_layers=meta_layers, meta_hidden_dim=3)
+        split = tr.SplitSpec("L0", test_ids=(2, 3), train_ids=(0, 1), val_ids=(), seed=0)
+        calls, at_loss = [], []
+        original = ad.spmm
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ad, "spmm", counted)
+        tr.train(cfg, ds, split, epochs=3, seed=0,
+                 loss_ids_observer=lambda epoch, ids: at_loss.append(len(calls)))
+        per_epoch = np.diff(at_loss)
+        assert per_epoch.tolist() == [ds.n_layers * (encoder_layers - 1) + meta_layers] * 2
