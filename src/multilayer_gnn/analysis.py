@@ -11,14 +11,13 @@ multiple testing is controlled with Benjamini-Hochberg.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE
+from .data import GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE, subseed
 from .errors import DataError
 from .gnn import GnnConfig, ModelParams, forward
 
@@ -213,11 +212,6 @@ def _es_from_hits(hit_mask, weights, miss_step):
     return es, running
 
 
-def _subseed(seed: int, tag: str) -> int:
-    digest = hashlib.sha256(f"{seed}\x1f{tag}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def gsea_prerank(ranked: RankedGeneList, sets: GeneSetCollection,
                  permutations: int = 1000, p: float = 1.0, seed: int = 0) -> list:
     """Enrichment score, permutation p-value, and BH FDR per gene set.
@@ -260,7 +254,7 @@ def gsea_prerank(ranked: RankedGeneList, sets: GeneSetCollection,
 
         p_value, floor = float("nan"), False
         if permutations > 0:
-            rng = np.random.default_rng(_subseed(seed, set_name))
+            rng = np.random.default_rng(subseed(seed, set_name))
             exceed = 0
             for _ in range(permutations):
                 perm_mask = np.zeros(n, dtype=bool)

@@ -253,14 +253,13 @@ class EdgeStructure:
     Edges are stored sorted by (dst, src); this fixed order is the summation
     order of every segment reduction, which is what makes message passing
     deterministic. Rows without incoming edges simply produce zero rows.
+    ``_mat`` is the CSR index layout of that order (its data is never read or
+    written): every :func:`spmm` builds its matrix from these index arrays and
+    the weights it is given.
     """
 
-    __slots__ = (
-        "n_dst", "n_src", "dst", "src", "n_edges", "order",
-        "_row_ids", "_row_starts", "_edge_seg",
-        "_perm_by_src", "_col_ids", "_col_starts",
-        "_mat", "_mat_t",
-    )
+    __slots__ = ("n_dst", "n_src", "dst", "src", "n_edges", "order",
+                 "_row_starts", "_edge_seg", "_mat")
 
     def __init__(self, n_dst, n_src, dst, src):
         dst = np.asarray(dst, dtype=np.intp)
@@ -276,35 +275,20 @@ class EdgeStructure:
         self.n_src = int(n_src)
         self.n_edges = int(dst.size)
         # a stable sort on an int64 key that orders edges like the (dst, src)
-        # pair keeps duplicate edges in input order; a stable sort of that
-        # order by src alone then orders them by (src, dst)
+        # pair keeps duplicate edges in input order
         order = np.argsort(dst.astype(np.int64) * self.n_src + src, kind="stable")
         self.dst = dst[order]
         self.src = src[order]
         self.order = order  # arr[order] reorders caller-side arrays to match
-        self._perm_by_src = np.argsort(self.src, kind="stable")
 
         counts = np.bincount(self.dst, minlength=self.n_dst)
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        self._row_ids = np.flatnonzero(counts)
-        self._row_starts = indptr[self._row_ids]
-        self._edge_seg = np.repeat(np.arange(self._row_ids.size), counts[self._row_ids])
-
-        counts_t = np.bincount(self.src, minlength=self.n_src)
-        indptr_t = np.concatenate(([0], np.cumsum(counts_t)))
-        self._col_ids = np.flatnonzero(counts_t)
-        self._col_starts = indptr_t[self._col_ids]
-
-        # CSR kernels for the weighted sum and its transpose; the data buffers
-        # are scratch space refilled on every spmm call, which confines a
-        # structure to one thread at a time.
+        row_ids = np.flatnonzero(counts)
+        self._row_starts = indptr[row_ids]
+        self._edge_seg = np.repeat(np.arange(row_ids.size), counts[row_ids])
         self._mat = sp.csr_matrix(
             (np.zeros(self.n_edges), self.src.astype(np.int64), indptr),
             shape=(self.n_dst, self.n_src),
-        )
-        self._mat_t = sp.csr_matrix(
-            (np.zeros(self.n_edges), self.dst[self._perm_by_src].astype(np.int64), indptr_t),
-            shape=(self.n_src, self.n_dst),
         )
 
 
@@ -330,25 +314,23 @@ class SparseWeighted:
 def spmm(adj: SparseWeighted, h: Tensor) -> Tensor:
     """Weighted neighborhood sum: out[u] = sum over edges (u <- v) of w_uv * h[v].
 
-    Each output row accumulates in ascending source order (CSR storage
-    order), so evaluation is deterministic.
+    The CSR matrix is built per call over the structure's index arrays and a
+    view of the weights, so nothing is copied and no buffer is shared. Each
+    output row accumulates in ascending source order (CSR storage order);
+    the feature gradient runs the transpose over the same arrays, so each of
+    its rows accumulates in ascending destination order, duplicate edges in
+    input order. Evaluation is deterministic either way.
     """
     s = adj.structure
     w = adj.weights
     if h.rows != s.n_src:
         raise ValueError(f"spmm shape mismatch: {s.n_src} source nodes vs {h.rows} rows")
-    if s.n_edges == 0:
-        out_data = np.zeros((s.n_dst, h.cols))
-    else:
-        s._mat.data[:] = w.data[:, 0]
-        out_data = s._mat @ h.data
+    mat = sp.csr_matrix((w.data[:, 0], s._mat.indices, s._mat.indptr), shape=s._mat.shape)
+    out_data = mat @ h.data
 
     def backward_fn(out):
-        if s.n_edges == 0:
-            return
         if h.needs_grad:
-            s._mat_t.data[:] = w.data[s._perm_by_src, 0]
-            _accum(h, s._mat_t @ out.grad)
+            _accum(h, mat.T @ out.grad)
         if w.needs_grad:
             gw = (out.grad[s.dst] * h.data[s.src]).sum(axis=1, keepdims=True)
             _accum(w, gw)

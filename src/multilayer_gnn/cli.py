@@ -122,7 +122,7 @@ def _echo_config(cfg, outdir: Path):
 
 def cmd_ingest(cfg) -> int:
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     dataset = _load_dataset(cfg)
     summary = {
         "n_genes": dataset.n_genes,
@@ -150,7 +150,7 @@ def cmd_train(cfg) -> int:
     from .config import GnnConfig
 
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     dataset = _load_dataset(cfg)
     model_cfg = GnnConfig(**cfg["model"])
     t = cfg["training"]
@@ -174,7 +174,7 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(cfg, checkpoint_path, dataset):
+def _load_checkpoint_for(checkpoint_path, dataset):
     from .errors import ConfigError
     from .training import load_checkpoint
 
@@ -195,9 +195,9 @@ def cmd_evaluate(cfg, checkpoint, split_path=None) -> int:
     from .gnn import forward
 
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(cfg, checkpoint, dataset)
+    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
     t = cfg["training"]
     if split_path:
         try:
@@ -253,9 +253,9 @@ def cmd_explain(cfg, checkpoint, genes) -> int:
     from .gnn import prepare
 
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(cfg, checkpoint, dataset)
+    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
     gene_ids = _resolve_genes(dataset, genes)
     steps = cfg["explain"]["steps"]
     scope = cfg["explain"]["edge_ig_scope"]
@@ -284,9 +284,9 @@ def cmd_discover(cfg, checkpoint, threshold=None, precision_target=0.95) -> int:
     from . import analysis as an
 
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(cfg, checkpoint, dataset)
+    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
     result = an.discover_candidates(params, model_cfg, dataset, threshold, precision_target)
     if threshold is None:
         note = f"precision_target={precision_target}"
@@ -351,7 +351,7 @@ def cmd_ablate(cfg) -> int:
     from .data import perturb_features, remove_edges
 
     outdir = _outdir(cfg)
-    _setup_logging(cfg.get("log_level", "info"), outdir)
+    _setup_logging(cfg["log_level"], outdir)
     base = _load_dataset(cfg)
     model_cfg = GnnConfig(**cfg["model"])
     t = cfg["training"]
@@ -498,7 +498,7 @@ def _build_parser():
     p.add_argument("--n-features", type=at_least(4), default=16)
     p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--variant", default="complementary", choices=["complementary", "single"])
-    p.add_argument("--signal", type=float, default=1.0)
+    p.add_argument("--signal", type=finite, default=1.0)
     return parser
 
 

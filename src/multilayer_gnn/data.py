@@ -433,9 +433,10 @@ def load_dataset(layer_specs, features_path, labels_path) -> MultilayerDataset:
 # perturbations
 # ---------------------------------------------------------------------------
 
-def layer_subseed(seed: int, layer_name: str) -> int:
-    """Stable per-layer seed, independent of layer order in the dataset."""
-    digest = hashlib.sha256(f"{seed}\x1f{layer_name}".encode()).digest()
+def subseed(seed: int, tag: str) -> int:
+    """Stable seed for the work tagged ``tag`` (a layer or gene set name),
+    independent of the order in which the tagged items are visited."""
+    digest = hashlib.sha256(f"{seed}\x1f{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -466,7 +467,7 @@ def remove_edges(dataset: MultilayerDataset, fraction: float, seed: int) -> Mult
         if k == 0:
             new_layers.append(lg)
             continue
-        rng = np.random.default_rng(layer_subseed(seed, lg.layer_name))
+        rng = np.random.default_rng(subseed(seed, lg.layer_name))
         drop = rng.choice(lg.n_edges, size=k, replace=False)
         keep = np.setdiff1d(np.arange(lg.n_edges), drop)
         new_layers.append(LayerGraph(lg.layer_name, lg.node_ids, lg.edges[keep]))

@@ -146,7 +146,7 @@ def ig_meta_edges(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDatase
                 layer_mults[name] = ad.constant(lm)
 
         res = run_model(params, cfg, prep, meta_multiplier=mult_var,
-                        layer_multipliers=layer_mults, feature_grad=False)
+                        layer_multipliers=layer_mults)
         target = ad.row_gather(res.logits, [gene])
         ad.backward(target)
         if mult_var.grad is not None:

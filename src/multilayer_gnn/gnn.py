@@ -253,7 +253,7 @@ class _CompiledMeta:
         # layer order
         copies = np.arange(self.meta_base, dtype=np.intp)
         by_gene = np.argsort(meta.copy_gene, kind="stable")
-        m = np.bincount(meta.copy_gene, minlength=n_genes)
+        m = meta.incoming
         star = np.repeat(self.meta_rows, m + 1)
         star_m = np.repeat(m, m + 1)
         is_self = np.zeros(star.size, dtype=bool)
@@ -338,24 +338,25 @@ def head_logits(params: ModelParams, h_meta: ad.Tensor) -> ad.Tensor:
 
 def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
               features: np.ndarray = None, meta_multiplier: ad.Tensor = None,
-              layer_multipliers: dict = None, feature_grad: bool = True) -> ModelRun:
+              layer_multipliers: dict = None) -> ModelRun:
     """Full taped forward pass.
 
-    ``features`` overrides the dataset feature matrix (same shape);
+    ``features`` overrides the dataset feature matrix (same shape) and is
+    then a variable, so ``backward`` leaves its gradient on ``x.grad``.
+    Without it the features are the dataset constant: ``x.grad`` stays None,
+    no gradient that only the features need is computed, and a GCN reuses
+    ``prep``'s first-layer sums wherever a layer graph has no multiplier.
     ``meta_multiplier`` is an (E_meta, 1) tensor multiplied onto the meta
     edge weights; ``layer_multipliers`` maps layer name -> (E_layer, 1)
     tensor multiplied onto that layer's edge weights. The multipliers exist
     so that edge attributions can differentiate through them.
-    ``feature_grad=False`` takes the features as a constant: ``backward``
-    then leaves ``x.grad`` None and skips every gradient that only the
-    features need, and a GCN reuses ``prep``'s first-layer sums wherever the
-    dataset features meet an unscaled layer graph. Every output and
-    parameter gradient is bit-identical either way.
     """
-    x_data = prep.dataset.features.values if features is None else features
-    x = (ad.variable if feature_grad else ad.constant)(x_data, name="features")
+    if features is None:
+        x = ad.constant(prep.dataset.features.values, name="features")
+    else:
+        x = ad.variable(features, name="features")
     multipliers = layer_multipliers or {}
-    cached = features is None and not feature_grad and prep.spreads is not None
+    cached = features is None and prep.spreads is not None
 
     per_layer = {}
     for pos, (name, ids, structure, base) in enumerate(zip(
@@ -398,5 +399,5 @@ def predict(params: ModelParams, h_meta) -> np.ndarray:
 
 def forward(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset) -> np.ndarray:
     """End-to-end probabilities for every catalog gene."""
-    res = run_model(params, cfg, prepare(cfg, dataset), feature_grad=False)
+    res = run_model(params, cfg, prepare(cfg, dataset))
     return ad.sigmoid(res.logits.data[:, 0])

@@ -227,7 +227,7 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
 
     for epoch in range(epochs):
         try:
-            res = run_model(params, cfg, prep, feature_grad=False)
+            res = run_model(params, cfg, prep)
             loss = ad.cross_entropy_logits(
                 ad.row_gather(res.logits, train_ids), train_targets, pos_weight
             )
@@ -258,7 +258,7 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
         best_params = params.copy()
         report.best_epoch = epochs - 1
 
-    final = run_model(best_params, cfg, prep, feature_grad=False)
+    final = run_model(best_params, cfg, prep)
     report.test_auprc = auprc(ad.sigmoid(final.logits.data[test_ids, 0]), test_targets)
     report.wall_clock_sec = time.perf_counter() - started
     return best_params, report

@@ -161,6 +161,15 @@ def select_threshold_scan(scores, labels, precision_target):
     return chosen
 
 
+def _csr(n_rows, n_cols, rows, cols, vals):
+    """CSR matrix of entries already sorted by row, stored in the given order."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    return sp.csr_matrix(
+        (vals, cols.astype(np.int64), np.cumsum(indptr)), shape=(n_rows, n_cols)
+    )
+
+
 def edge_structure_fields(n_dst, n_src, dst, src):
     """Every array an EdgeStructure derives from its edge list, built with
     lexsort and unique the way the original constructor did."""
@@ -169,24 +178,31 @@ def edge_structure_fields(n_dst, n_src, dst, src):
     order = np.lexsort((src, dst))
     dst, src = dst[order], src[order]
     row_ids, row_starts, counts = np.unique(dst, return_index=True, return_counts=True)
-    perm_by_src = np.lexsort((dst, src))
-    col_ids, col_starts = np.unique(src[perm_by_src], return_index=True)
-    indptr = np.zeros(n_dst + 1, dtype=np.int64)
-    np.add.at(indptr, dst + 1, 1)
-    indptr_t = np.zeros(n_src + 1, dtype=np.int64)
-    np.add.at(indptr_t, src + 1, 1)
-    mat = sp.csr_matrix(
-        (np.zeros(dst.size), src.astype(np.int64), np.cumsum(indptr)), shape=(n_dst, n_src)
-    )
-    mat_t = sp.csr_matrix(
-        (np.zeros(dst.size), dst[perm_by_src].astype(np.int64), np.cumsum(indptr_t)),
-        shape=(n_src, n_dst),
-    )
+    mat = _csr(n_dst, n_src, dst, src, np.zeros(dst.size))
     return {
         "order": order, "dst": dst, "src": src,
-        "_row_ids": row_ids, "_row_starts": row_starts,
+        "_row_starts": row_starts,
         "_edge_seg": np.repeat(np.arange(row_ids.size), counts),
-        "_perm_by_src": perm_by_src, "_col_ids": col_ids, "_col_starts": col_starts,
         "_mat.indices": mat.indices, "_mat.indptr": mat.indptr,
-        "_mat_t.indices": mat_t.indices, "_mat_t.indptr": mat_t.indptr,
     }
+
+
+def spmm_products(n_dst, n_src, dst, src, w, h, g):
+    """Forward sum ``A h``, feature gradient ``A^T g`` and per-edge weight
+    gradient of a weighted sparse product, computed the way the original
+    kernels did: a CSR of A over the edges sorted by (dst, src), and a second
+    CSR of A^T over a stable re-sort of those edges by (src, dst).
+
+    ``w`` holds one weight per edge in input order; the weight gradient comes
+    back in (dst, src) order, one row per edge.
+    """
+    dst = np.asarray(dst, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
+    order = np.lexsort((src, dst))
+    dst, src = dst[order], src[order]
+    w = np.asarray(w, dtype=np.float64)[order]
+    by_src = np.lexsort((dst, src))
+    a = _csr(n_dst, n_src, dst, src, w)
+    a_t = _csr(n_src, n_dst, src[by_src], dst[by_src], w[by_src])
+    gw = (g[dst] * h[src]).sum(axis=1, keepdims=True)
+    return a @ h, a_t @ g, gw

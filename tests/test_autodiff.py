@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from multilayer_gnn import autodiff as ad
 from multilayer_gnn.errors import NumericError
 
-from oracles import edge_structure_fields, fd_grad, grad_err
+from oracles import edge_structure_fields, fd_grad, grad_err, spmm_products
 
 
 def scalar_sum(t):
@@ -90,11 +90,8 @@ class TestEdgeStructure:
         s = ad.EdgeStructure(n_dst, n_src, np.array(dst, dtype=int), np.array(src, dtype=int))
         got = {
             "order": s.order, "dst": s.dst, "src": s.src,
-            "_row_ids": s._row_ids, "_row_starts": s._row_starts, "_edge_seg": s._edge_seg,
-            "_perm_by_src": s._perm_by_src, "_col_ids": s._col_ids,
-            "_col_starts": s._col_starts,
+            "_row_starts": s._row_starts, "_edge_seg": s._edge_seg,
             "_mat.indices": s._mat.indices, "_mat.indptr": s._mat.indptr,
-            "_mat_t.indices": s._mat_t.indices, "_mat_t.indptr": s._mat_t.indptr,
         }
         want = edge_structure_fields(n_dst, n_src, dst, src)
         for name, arr in want.items():
@@ -103,6 +100,25 @@ class TestEdgeStructure:
 
 
 class TestSpmm:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_lists(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_two_matrix_products_bit_for_bit(self, graph, d, seed):
+        n_dst, n_src, dst, src = graph
+        rng = np.random.default_rng(seed)
+        w0 = rng.standard_normal(len(dst))
+        h0 = rng.standard_normal((n_src, d))
+        g0 = rng.standard_normal((n_dst, d))
+        s = ad.EdgeStructure(n_dst, n_src, np.array(dst, dtype=int), np.array(src, dtype=int))
+        w = ad.variable(w0[s.order][:, None])
+        h = ad.variable(h0)
+        out = ad.spmm(ad.SparseWeighted(s, w), h)
+        # the loss sum(out * g0) hands spmm exactly g0 as its output gradient
+        grads = ad.backward(scalar_sum(ad.mul(out, ad.constant(g0))), [w, h])
+        want_out, want_h, want_w = spmm_products(n_dst, n_src, dst, src, w0, h0, g0)
+        for got, want in ((out.data, want_out), (grads[h], want_h), (grads[w], want_w)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_no_edges_zero_row(self):
         s = ad.EdgeStructure(1, 1, np.array([], dtype=int), np.array([], dtype=int))
         w = ad.constant(np.zeros((0, 1)))

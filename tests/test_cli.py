@@ -56,6 +56,15 @@ class TestSynth:
         truth = json.loads((tmp_path / "z" / "truth.json").read_text())
         assert truth["signal_strength"] == 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_signal_exits_1_naming_the_flag(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, f"--signal={value}") == 1
+        err = capsys.readouterr().err
+        assert "argument --signal: must be a finite number" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestIngest:
     def test_summary(self, ws, tmp_path):

@@ -40,7 +40,7 @@ class TestNodeFeatureIG:
 
         # constant gradient: attribution must equal x * dlogit/dx exactly
         prep = gnn.prepare(cfg, ds)
-        res = gnn.run_model(params, cfg, prep)
+        res = gnn.run_model(params, cfg, prep, features=x)
         ad.backward(ad.row_gather(res.logits, [0]))
         expected = x * res.x.grad
 

@@ -407,8 +407,8 @@ class TestFeatureGrad:
             grads = ad.backward(ad.row_gather(res.logits, [1]), params.tensors())
             return res, [grads[t].tobytes() for t in params.tensors()]
 
-        plain, plain_grads = run()
-        const, const_grads = run(feature_grad=False)
+        plain, plain_grads = run(features=ds.features.values)
+        const, const_grads = run()
         assert const.logits.data.tobytes() == plain.logits.data.tobytes()
         assert const_grads == plain_grads
         assert plain.x.grad is not None
