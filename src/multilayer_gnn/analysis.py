@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE, subseed
+from .data import (GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE, subseed,
+                   utf8_error)
 from .errors import DataError
 from .gnn import GnnConfig, ModelParams, forward
 
@@ -311,7 +312,10 @@ def write_ranking_csv(ranked: RankedGeneList, path):
 
 def load_ranking_csv(path) -> RankedGeneList:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        try:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     if not rows or [c.lower() for c in rows[0][:2]] != ["gene", "score"]:
         raise DataError("ranking CSV must start with a 'gene,score[,...]' header", path=path)
     try:

@@ -17,6 +17,8 @@ import logging
 import math
 import os
 import sys
+import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -241,6 +243,16 @@ def _resolve_genes(dataset, raw_names):
     return ids
 
 
+def _read_genes_file(path):
+    """The lines of a ``--genes-file``; a byte that is not UTF-8 is a DataError."""
+    from .data import utf8_error
+
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+
+
 def _explain_filename(gene: str) -> str:
     """``explain_<gene>.json``, with only '%' and '/' percent-encoded so that
     every gene name maps to its own file inside the output directory."""
@@ -248,12 +260,21 @@ def _explain_filename(gene: str) -> str:
 
 
 def cmd_explain(cfg, checkpoint, genes) -> int:
+    """Explain each named gene once, in the order first named.
+
+    ``run.log`` gets each gene's wall time and its feature-IG completeness
+    gap ``|sum of attributions - (F(x) - F(0))|``.
+    """
     from . import analysis as an
     from . import explain as ex
     from .gnn import prepare
 
     outdir = _outdir(cfg)
     _setup_logging(cfg["log_level"], outdir)
+    repeats = [name for name, count in Counter(genes).items() if count > 1]
+    if repeats:
+        logger.warning("explaining once each gene named more than once: %s", ", ".join(repeats))
+        genes = list(dict.fromkeys(genes))
     dataset = _load_dataset(cfg)
     params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
     gene_ids = _resolve_genes(dataset, genes)
@@ -261,15 +282,19 @@ def cmd_explain(cfg, checkpoint, genes) -> int:
     scope = cfg["explain"]["edge_ig_scope"]
     prep = prepare(model_cfg, dataset)
     _echo_config(cfg, outdir)
+    spans = ex.logit_spans(params, model_cfg, prep)
     meta_attrs = {}
     for name, gid in zip(genes, gene_ids):
+        start = time.perf_counter()
         attr = ex.ig_node_features(params, model_cfg, dataset, gid, steps=steps, prep=prep)
         medge = ex.ig_meta_edges(params, model_cfg, dataset, gid, steps=steps,
                                  scope=scope, prep=prep)
         meta_attrs[gid] = medge
         report = ex.attribution_report(dataset, attr, medge)
         _write_json(outdir / _explain_filename(name), report)
-        logger.info("explained %s (%d steps, %s edge scope)", name, steps, scope)
+        logger.info("explained %s in %.3fs (%d steps, %s edge scope): "
+                    "feature IG completeness gap %.3e", name, time.perf_counter() - start,
+                    steps, scope, abs(attr.matrix.sum() - spans[gid]))
 
     # companion tables across the explained genes: positive-neighbor
     # fractions per layer and their covariation with meta-edge importance
@@ -552,11 +577,8 @@ def main(argv=None) -> int:
             if args.genes:
                 genes += [g.strip() for g in args.genes.split(",") if g.strip()]
             if args.genes_file:
-                genes += [
-                    line.strip()
-                    for line in Path(args.genes_file).read_text(encoding="utf-8").splitlines()
-                    if line.strip()
-                ]
+                genes += [line.strip() for line in _read_genes_file(args.genes_file)
+                          if line.strip()]
             if not genes:
                 raise _UsageError("explain needs --genes or --genes-file")
             return cmd_explain(cfg, args.checkpoint, genes)
@@ -574,8 +596,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as err:  # a path given by a flag
-        print(f"error: {err.filename}: file not found", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as err:  # a path given by a flag
+        what = "file not found" if isinstance(err, FileNotFoundError) else "is a directory"
+        print(f"error: {err.filename}: {what}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,6 +1,7 @@
 """Aligned multilayer dataset: gene catalog, layer graphs, features, labels.
 
-Input formats (all UTF-8, LF or CRLF):
+Input formats (all UTF-8, LF or CRLF; a byte that is not UTF-8 is a
+DataError naming its line):
   edge list    whitespace-separated gene pairs, one per line, '#' comments
   features     CSV with header row ``gene,<name>,...``; an optional second
                row whose first cell is ``group`` tags each feature with an
@@ -253,15 +254,37 @@ class GeneSetCollection:
 # loaders
 # ---------------------------------------------------------------------------
 
+def utf8_error(path) -> DataError:
+    """A DataError naming the line of the first byte of ``path`` that is not
+    UTF-8, for a reader that met a ``UnicodeDecodeError``.
+
+    Text readers decode in blocks, so the error they raise cannot say which
+    line failed; this decodes the whole file again to find it. Lines end at
+    LF, CR or CRLF, as in a text reader opened with ``newline=""``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = raw[:err.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        return DataError(f"not valid UTF-8 (byte 0x{raw[err.start]:02x})", path=path, line=line)
+    return DataError("not valid UTF-8", path=path)
+
+
 def _data_lines(path):
     """(line number, line) of every line that is neither blank nor a '#'
     comment; both may be indented."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            head = line.lstrip()
-            if head and head[0] != "#":
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                head = line.lstrip()
+                if head and head[0] != "#":
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
 
 
 def _two_columns(line, path, lineno):
@@ -316,8 +339,10 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
     an error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     if not rows:
         raise DataError("feature file is empty", path=path)
     header = rows[0]

@@ -14,6 +14,13 @@ Two modes, both targeting the pre-sigmoid logit of one gene's meta node:
 
 Raw attributions keep their sign; the max-|.|-normalized values therefore
 live in [-1, 1], with a [0, 1] clamped view for display.
+
+Each call takes the parameters into the tape as constants that share their
+arrays, so no step computes a parameter gradient and every parameter's
+``grad`` is left as it was. Target-scope meta-edge IG holds the features and
+the encoder edges fixed, so it runs the encoder once per call (``encode``)
+and each step runs only the meta stage and the head (``run_model`` with
+``stack=``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import MultilayerDataset
 from .errors import NumericError
-from .gnn import GnnConfig, ModelParams, PreparedModel, prepare, run_model
+from .gnn import GnnConfig, ModelParams, PreparedModel, encode, prepare, run_model
 
 
 @dataclass
@@ -91,6 +98,17 @@ def _midpoints(steps: int):
     return (np.arange(steps) + 0.5) / steps
 
 
+def logit_spans(params: ModelParams, cfg: GnnConfig, prep: PreparedModel) -> np.ndarray:
+    """``F(x) - F(0)`` per gene, the logit at the data minus the logit at the
+    all-zero baseline: the total that a gene's feature attributions
+    approach as the step count grows (IG completeness)."""
+    _check_params(params)
+    weights = params.constants()
+    f_x = run_model(weights, cfg, prep).logits.data[:, 0]
+    zeros = np.zeros_like(prep.dataset.features.values)
+    return f_x - run_model(weights, cfg, prep, features=zeros).logits.data[:, 0]
+
+
 def ig_node_features(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset,
                      gene: int, steps: int = 64, prep: PreparedModel = None) -> AttributionMatrix:
     """Feature attributions with the graph structure held fixed."""
@@ -98,10 +116,11 @@ def ig_node_features(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDat
     _check_gene(dataset, gene)
     if prep is None:
         prep = prepare(cfg, dataset)
+    weights = params.constants()
     x_full = dataset.features.values
     grad_sum = np.zeros_like(x_full)
     for alpha in _midpoints(steps):
-        res = run_model(params, cfg, prep, features=alpha * x_full)
+        res = run_model(weights, cfg, prep, features=alpha * x_full)
         target = ad.row_gather(res.logits, [gene])
         ad.backward(target)
         if res.x.grad is not None:
@@ -128,6 +147,9 @@ def ig_meta_edges(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDatase
     if edge_idx.size == 0:
         return MetaEdgeAttribution(gene, (), np.zeros(0), steps, no_incoming=True)
 
+    weights = params.constants()
+    # target scope moves only meta edges: the encoder's stack is the same at every step
+    stack = encode(weights, cfg, prep)[2] if scope == "target" else None
     grad_sum = np.zeros(edge_idx.size)
     for alpha in _midpoints(steps):
         mult = np.ones((cm.structure.n_edges, 1))
@@ -145,8 +167,8 @@ def ig_meta_edges(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDatase
                 lm[structure.dst != structure.src, 0] = alpha
                 layer_mults[name] = ad.constant(lm)
 
-        res = run_model(params, cfg, prep, meta_multiplier=mult_var,
-                        layer_multipliers=layer_mults)
+        res = run_model(weights, cfg, prep, meta_multiplier=mult_var,
+                        layer_multipliers=layer_mults, stack=stack)
         target = ad.row_gather(res.logits, [gene])
         ad.backward(target)
         if mult_var.grad is not None:

@@ -73,8 +73,17 @@ class ModelParams:
         return [t for _, t in self.named()]
 
     def copy(self):
-        clone = {name: ad.variable(t.data.copy(), name=name) for name, t in self.named()}
-        return type(self)._from_dict(self.arch, self.d_in, len(self.enc_w), len(self.meta_w), clone)
+        return self._rebuilt(lambda data, name: ad.variable(data.copy(), name=name))
+
+    def constants(self):
+        """The same weights as tape constants. They share these arrays and
+        copy nothing, and no backward computes a gradient toward them."""
+        return self._rebuilt(ad.constant)
+
+    def _rebuilt(self, make):
+        tensors = {name: make(t.data, name) for name, t in self.named()}
+        return type(self)._from_dict(self.arch, self.d_in, len(self.enc_w), len(self.meta_w),
+                                     tensors)
 
     @classmethod
     def _from_dict(cls, arch, d_in, n_enc, n_meta, tensors):
@@ -323,12 +332,16 @@ def prepare(cfg: GnnConfig, dataset: MultilayerDataset) -> PreparedModel:
 
 @dataclass
 class ModelRun:
-    """One taped forward pass with handles for gradient consumers."""
+    """One taped forward pass with handles for gradient consumers.
+
+    ``x`` and ``per_layer_h`` are None when ``run_model`` was given a
+    precomputed stack, since that pass ran no encoder.
+    """
 
     logits: ad.Tensor          # (n_genes, 1) pre-sigmoid
-    x: ad.Tensor               # feature matrix variable
+    x: ad.Tensor               # feature matrix tensor, or None
     h_meta: ad.Tensor          # (n_genes, meta_hidden)
-    per_layer_h: dict          # layer name -> encoder output tensor
+    per_layer_h: dict          # layer name -> encoder output tensor, or None
 
 
 def head_logits(params: ModelParams, h_meta: ad.Tensor) -> ad.Tensor:
@@ -336,20 +349,14 @@ def head_logits(params: ModelParams, h_meta: ad.Tensor) -> ad.Tensor:
     return ad.add_bias(ad.matmul(hidden, params.head_w2), params.head_b2)
 
 
-def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
-              features: np.ndarray = None, meta_multiplier: ad.Tensor = None,
-              layer_multipliers: dict = None) -> ModelRun:
-    """Full taped forward pass.
+def encode(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
+           features: np.ndarray = None, layer_multipliers: dict = None):
+    """The encoder stage of :func:`run_model`: ``(x, per_layer, stack)``.
 
-    ``features`` overrides the dataset feature matrix (same shape) and is
-    then a variable, so ``backward`` leaves its gradient on ``x.grad``.
-    Without it the features are the dataset constant: ``x.grad`` stays None,
-    no gradient that only the features need is computed, and a GCN reuses
-    ``prep``'s first-layer sums wherever a layer graph has no multiplier.
-    ``meta_multiplier`` is an (E_meta, 1) tensor multiplied onto the meta
-    edge weights; ``layer_multipliers`` maps layer name -> (E_layer, 1)
-    tensor multiplied onto that layer's edge weights. The multipliers exist
-    so that edge attributions can differentiate through them.
+    ``x`` is the feature tensor, ``per_layer`` maps each layer name to its
+    encoder output, and ``stack`` is those outputs in canonical layer order
+    followed by the projected features: the rows the meta stage reads.
+    ``features`` and ``layer_multipliers`` are as in :func:`run_model`.
     """
     if features is None:
         x = ad.constant(prep.dataset.features.values, name="features")
@@ -370,13 +377,42 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
         )
 
     projected = ad.matmul(x, params.xproj)
-    stack = ad.concat_rows(list(per_layer.values()) + [projected])
+    return x, per_layer, ad.concat_rows(list(per_layer.values()) + [projected])
+
+
+def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
+              features: np.ndarray = None, meta_multiplier: ad.Tensor = None,
+              layer_multipliers: dict = None, stack: ad.Tensor = None) -> ModelRun:
+    """Full taped forward pass: :func:`encode`, then the meta stage and the head.
+
+    ``features`` overrides the dataset feature matrix (same shape) and is
+    then a variable, so ``backward`` leaves its gradient on ``x.grad``.
+    Without it the features are the dataset constant: ``x.grad`` stays None,
+    no gradient that only the features need is computed, and a GCN reuses
+    ``prep``'s first-layer sums wherever a layer graph has no multiplier.
+    ``meta_multiplier`` is an (E_meta, 1) tensor multiplied onto the meta
+    edge weights; ``layer_multipliers`` maps layer name -> (E_layer, 1)
+    tensor multiplied onto that layer's edge weights. The multipliers exist
+    so that edge attributions can differentiate through them.
+
+    ``stack``, the third value :func:`encode` returned for these
+    ``params``, skips the encoder: the pass runs only the meta stage and the
+    head, and the run's ``x`` and ``per_layer_h`` are None. It fixes the
+    features and the layer multipliers, so passing either with it raises
+    ``ValueError``.
+    """
+    if stack is None:
+        x, per_layer, stack = encode(params, cfg, prep, features, layer_multipliers)
+    elif features is not None or layer_multipliers is not None:
+        raise ValueError("a precomputed stack fixes the features and the layer multipliers")
+    else:
+        x = per_layer = None
+
     cm = prep.compiled_meta
-    stack = _propagate(
+    h = _propagate(
         stack, cm.structure, cm.base_weights, params.meta_w, params.meta_a, cfg, meta_multiplier
     )
-
-    h_meta = ad.row_gather(stack, cm.meta_rows)
+    h_meta = ad.row_gather(h, cm.meta_rows)
     return ModelRun(head_logits(params, h_meta), x, h_meta, per_layer)
 
 
@@ -386,7 +422,7 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
 
 def encode_layers(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset):
     """Per-layer encoder outputs in dataset layer order (weights shared)."""
-    per_layer = run_model(params, cfg, prepare(cfg, dataset)).per_layer_h
+    per_layer = encode(params, cfg, prepare(cfg, dataset))[1]
     return [per_layer[lg.layer_name] for lg in dataset.layers]
 
 

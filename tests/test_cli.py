@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 import sys
 from pathlib import Path
@@ -155,6 +156,67 @@ class TestExplain:
                        ws["checkpoint"], "--genes", "G0002", "--out", out) == 0
             outs.append((out / "explain_G0002.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestExplainEachGeneOnce:
+    def test_repeats_explained_once_with_identical_outputs(self, ws, tmp_path, monkeypatch):
+        from multilayer_gnn import explain
+
+        once = tmp_path / "once"
+        assert run("explain", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--genes", "G0001", "--out", once) == 0
+        calls = {"ig_node_features": 0, "ig_meta_edges": 0}
+        for name in calls:
+            _count_calls(monkeypatch, explain, name, calls)
+        genes_file = tmp_path / "genes.txt"
+        genes_file.write_text("G0001\nG0001\n", encoding="utf-8")
+        repeated = tmp_path / "repeated"
+        assert run("explain", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--genes", "G0001,G0001", "--genes-file", genes_file,
+                   "--out", repeated) == 0
+        assert calls == {"ig_node_features": 1, "ig_meta_edges": 1}
+        # the effective config differs only in output_dir
+        sidecars = ("run.log", "effective_config.json")
+        names = sorted(p.name for p in once.iterdir() if p.name not in sidecars)
+        assert sorted(p.name for p in repeated.iterdir() if p.name not in sidecars) == names
+        assert len(names) == 3
+        for name in names:
+            assert (repeated / name).read_bytes() == (once / name).read_bytes(), name
+        log = (repeated / "run.log").read_text(encoding="utf-8")
+        assert re.findall(r"WARNING .*more than once.*", log) == [
+            "WARNING multilayer_gnn.cli: explaining once each gene named more than once: G0001"]
+
+    def test_run_log_has_time_and_completeness_gap_per_gene(self, ws, tmp_path):
+        out = tmp_path / "exp"
+        assert run("explain", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--genes", "G0003,G0000", "--out", out) == 0
+        log = (out / "run.log").read_text(encoding="utf-8")
+        for gene in ("G0003", "G0000"):
+            match = re.search(rf"explained {gene} in (\S+)s \(.*\): "
+                              rf"feature IG completeness gap (\S+)$", log, re.M)
+            assert match, log
+            assert float(match.group(1)) > 0
+            assert 0 <= float(match.group(2)) < 1
+
+
+class TestUnreadableFlagPaths:
+    def test_genes_file_not_utf8_exits_2_naming_the_line(self, ws, tmp_path, capsys):
+        genes_file = tmp_path / "genes.txt"
+        genes_file.write_bytes(b"G0001\nG00\xff2\n")
+        assert run("explain", "--config", ws["config"], "--checkpoint", ws["checkpoint"],
+                   "--genes-file", genes_file, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {genes_file}:2: not valid UTF-8 (byte 0xff)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--genes-file"])
+    def test_directory_exits_1_naming_the_path(self, ws, tmp_path, capsys, flag):
+        flags = {"--config": ws["config"], "--checkpoint": ws["checkpoint"], flag: tmp_path}
+        argv = [str(a) for pair in flags.items() for a in pair]
+        assert run("explain", *argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path}: is a directory" in err
+        assert "Traceback" not in err
 
 
 class TestDiscover:

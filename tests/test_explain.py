@@ -11,6 +11,7 @@ from multilayer_gnn import training as tr
 from multilayer_gnn.errors import NumericError
 
 from conftest import build_dataset
+from oracles import ig_reference
 
 
 def positive_linear_model(n=3, d=2, seed=0):
@@ -185,6 +186,73 @@ class TestMetaEdgeIG:
         a = ex.ig_meta_edges(params, cfg, ds, gene=4, steps=8)
         b = ex.ig_meta_edges(params, cfg, ds, gene=4, steps=8)
         assert a.raw.tobytes() == b.raw.tobytes()
+
+
+def three_layer_toy(arch, encoder_layers, meta_layers, seed=2):
+    """Eight genes over three networks, one of which misses two genes."""
+    ds = build_dataset(
+        n=8, d=3, feature_seed=seed,
+        layer_edges=[[(i, i + 1) for i in range(7)],
+                     [(0, 4), (1, 5), (2, 6), (3, 7), (0, 2)],
+                     [(0, 3), (3, 5), (1, 2)]],
+        layer_nodes=[list(range(8)), list(range(8)), [0, 1, 2, 3, 5, 6]],
+    )
+    cfg = gnn.GnnConfig(arch=arch, encoder_layers=encoder_layers, hidden_dim=5,
+                        meta_layers=meta_layers, meta_hidden_dim=4)
+    return ds, cfg, gnn.init_params(cfg, 3, seed=seed)
+
+
+ARCH_DEPTHS = pytest.mark.parametrize("arch,encoder_layers,meta_layers", [
+    (arch, e, m) for arch in ("gcn", "gat") for e in (1, 2) for m in (1, 2)
+])
+
+
+class TestIgAgainstReference:
+    """The IG loops share work across steps, but every attribution must equal
+    the plain loop's (variable parameters, a full forward per step) bit for bit."""
+
+    @ARCH_DEPTHS
+    def test_node_features_bit_identical(self, arch, encoder_layers, meta_layers):
+        ds, cfg, params = three_layer_toy(arch, encoder_layers, meta_layers)
+        for gene in (0, 5):
+            got = ex.ig_node_features(params, cfg, ds, gene, steps=8).matrix
+            want = ig_reference(params, cfg, ds, gene, 8, "features")
+            assert got.tobytes() == want.tobytes()
+
+    @ARCH_DEPTHS
+    @pytest.mark.parametrize("scope", ["target", "global"])
+    def test_meta_edges_bit_identical(self, arch, encoder_layers, meta_layers, scope):
+        ds, cfg, params = three_layer_toy(arch, encoder_layers, meta_layers)
+        for gene in (0, 5):
+            got = ex.ig_meta_edges(params, cfg, ds, gene, steps=8, scope=scope).raw
+            want = ig_reference(params, cfg, ds, gene, 8, "meta_edges", scope)
+            assert got.size > 1
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_parameters_get_no_gradient(self, arch):
+        ds, cfg, params = three_layer_toy(arch, 2, 2)
+        calls = [lambda: ex.ig_node_features(params, cfg, ds, 1, steps=2)]
+        calls += [lambda scope=scope: ex.ig_meta_edges(params, cfg, ds, 1, steps=2, scope=scope)
+                  for scope in ("target", "global")]
+        for call in calls:
+            call()
+            assert [name for name, t in params.named() if t.grad is not None] == []
+
+    @pytest.mark.parametrize("scope,encodes", [("target", 1), ("global", 4)])
+    def test_target_scope_encodes_once_per_call(self, scope, encodes, monkeypatch):
+        ds, cfg, params = three_layer_toy("gcn", 2, 1)
+        calls = []
+        original = gnn.encode
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gnn, "encode", counted)
+        monkeypatch.setattr(ex, "encode", counted)
+        ex.ig_meta_edges(params, cfg, ds, 1, steps=4, scope=scope)
+        assert len(calls) == encodes
 
 
 class TestNeighborImportance:

@@ -435,3 +435,38 @@ class TestFeatureGrad:
                  loss_ids_observer=lambda epoch, ids: at_loss.append(len(calls)))
         per_epoch = np.diff(at_loss)
         assert per_epoch.tolist() == [ds.n_layers * (encoder_layers - 1) + meta_layers] * 2
+
+
+class TestPrecomputedStack:
+    def test_constants_share_the_parameter_arrays(self):
+        params = gnn.init_params(tiny_cfg(arch="gat"), 4, seed=3)
+        frozen = params.constants()
+        assert [n for n, _ in frozen.named()] == [n for n, _ in params.named()]
+        for (_, c), (_, t) in zip(frozen.named(), params.named()):
+            assert c.data is t.data
+            assert not c.needs_grad
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_stack_skips_the_encoder_bit_identically(self, arch):
+        ds = build_dataset()
+        cfg = tiny_cfg(arch=arch)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=3)
+        prep = gnn.prepare(cfg, ds)
+        full = gnn.run_model(params, cfg, prep)
+        x, per_layer, stack = gnn.encode(params, cfg, prep)
+        staged = gnn.run_model(params, cfg, prep, stack=stack)
+        assert staged.logits.data.tobytes() == full.logits.data.tobytes()
+        assert staged.x is None and staged.per_layer_h is None
+        assert x.data.tobytes() == full.x.data.tobytes()
+        assert list(per_layer) == list(full.per_layer_h)
+
+    @pytest.mark.parametrize("given", ["features", "layer_multipliers"])
+    def test_stack_with_encoder_inputs_rejected(self, given):
+        ds = build_dataset()
+        cfg = tiny_cfg()
+        params = gnn.init_params(cfg, ds.features.n_features, seed=3)
+        prep = gnn.prepare(cfg, ds)
+        stack = gnn.encode(params, cfg, prep)[2]
+        value = ds.features.values if given == "features" else {}
+        with pytest.raises(ValueError, match="precomputed stack"):
+            gnn.run_model(params, cfg, prep, stack=stack, **{given: value})

@@ -184,3 +184,41 @@ class TestFeatureRoundTrip:
         assert back.feature_names == names
         assert back.omic_group == ["a", "b", "a", "c", "b"]
         assert back.missing == ()
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a DataError naming the file and its line,
+    wherever in the file it sits."""
+
+    def write_bytes(self, tmp_path, name, good_lines, bad_line, newline=b"\n"):
+        p = tmp_path / name
+        p.write_bytes(newline.join(good_lines + [bad_line]) + newline)
+        return p
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("reader", ["layer", "labels", "gene_sets"])
+    def test_data_lines_readers(self, tmp_path, reader, newline):
+        catalog = dm.GeneCatalog(["A", "B"])
+        good, bad, load = {
+            "layer": (b"A\tB", b"A\tB\xff", lambda p: dm.load_layer_graph(p, catalog, "L")),
+            "labels": (b"A\t1", b"B\xff\t0", lambda p: dm.load_labels(p, catalog)),
+            "gene_sets": (b"S%d\tdesc\tA", b"T\td\xffesc\tB", dm.load_gene_sets),
+        }[reader]
+        # far past the first block a text reader decodes
+        lines = [b"# c"] + [good.replace(b"%d", b"%d" % i) for i in range(3000)]
+        path = self.write_bytes(tmp_path, "in.txt", lines, bad, newline)
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:3002: not valid UTF-8 (byte 0xff)"
+
+    def test_feature_matrix(self, tmp_path):
+        path = self.write_bytes(tmp_path, "f.csv", [b"gene,f1", b"A,1"], b"B,\xff2")
+        with pytest.raises(DataError, match=r"f\.csv:3: not valid UTF-8 \(byte 0xff\)"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+
+    def test_ranking_csv(self, tmp_path):
+        from multilayer_gnn import analysis as an
+
+        path = self.write_bytes(tmp_path, "r.csv", [b"gene,score", b"A,1"], b"\xffB,0.5")
+        with pytest.raises(DataError, match=r"r\.csv:3: not valid UTF-8 \(byte 0xff\)"):
+            an.load_ranking_csv(path)
