@@ -311,17 +311,28 @@ def write_ranking_csv(ranked: RankedGeneList, path):
 
 
 def load_ranking_csv(path) -> RankedGeneList:
+    """The ``gene,score`` rows of a ranking CSV; a row whose score is missing,
+    not a number or not finite is a DataError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
         except UnicodeDecodeError:
             raise utf8_error(path) from None
-    if not rows or [c.lower() for c in rows[0][:2]] != ["gene", "score"]:
+    if not rows or [c.lower() for c in rows[0][1][:2]] != ["gene", "score"]:
         raise DataError("ranking CSV must start with a 'gene,score[,...]' header", path=path)
-    try:
-        return RankedGeneList((r[0], float(r[1])) for r in rows[1:])
-    except (IndexError, ValueError) as err:
-        raise DataError(f"bad ranking row ({err})", path=path) from None
+    pairs = []
+    for line, row in rows[1:]:
+        if len(row) < 2:
+            raise DataError("row has no score", path=path, line=line)
+        try:
+            score = float(row[1])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise DataError(f"score must be a finite number, got {row[1]!r}", path=path, line=line)
+        pairs.append((row[0], score))
+    return RankedGeneList(pairs)
 
 
 def write_neighbor_fractions_csv(table: dict, dataset: MultilayerDataset, path):

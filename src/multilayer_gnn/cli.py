@@ -22,9 +22,21 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from . import analysis as an
+from . import explain as ex
+from . import synth
+from . import training as tr
+from .config import LOG_LEVELS, GnnConfig, RunConfig, check_section
+from .data import load_dataset, load_gene_sets, perturb_features, remove_edges, utf8_error
+from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .gnn import forward, prepare
+
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
-logger = logging.getLogger(__name__)
+# named, not __name__: under ``python -m`` (as --threads re-executes) that is __main__
+logger = logging.getLogger("multilayer_gnn.cli")
 
 
 class _UsageError(Exception):
@@ -55,9 +67,6 @@ def load_config(path, overrides=None) -> dict:
     fields that command-line flags set; those that are not None replace the
     file's values before the check.
     """
-    from .config import RunConfig, check_section
-    from .errors import ConfigError
-
     raw = _read_json(path, ConfigError)
     for where, flags in (overrides or {}).items():
         section = raw.setdefault(where, {}) if where and isinstance(raw, dict) else raw
@@ -75,23 +84,10 @@ def load_config(path, overrides=None) -> dict:
     return cfg
 
 
-def _load_dataset(cfg):
-    from .data import load_dataset
-
-    return load_dataset(
-        [(e["name"], e["path"]) for e in cfg["paths"]["layers"]],
-        cfg["paths"]["features"],
-        cfg["paths"]["labels"],
-    )
-
-
-def _outdir(cfg) -> Path:
-    out = Path(cfg["output_dir"])
+def _outdir(path, level: str) -> Path:
+    """Make the output directory ``path`` and log to stderr and its ``run.log``."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _setup_logging(level: str, outdir: Path = None):
     root = logging.getLogger()
     for h in list(root.handlers):
         root.removeHandler(h)
@@ -99,13 +95,11 @@ def _setup_logging(level: str, outdir: Path = None):
     root.setLevel(getattr(logging, level.upper(), logging.INFO))
     console = logging.StreamHandler(sys.stderr)
     console.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    sidecar = logging.FileHandler(out / "run.log", mode="w", encoding="utf-8")
+    sidecar.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
     root.addHandler(console)
-    if outdir is not None:
-        sidecar = logging.FileHandler(outdir / "run.log", mode="w", encoding="utf-8")
-        sidecar.setFormatter(
-            logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
-        )
-        root.addHandler(sidecar)
+    root.addHandler(sidecar)
+    return out
 
 
 def _write_json(path, payload):
@@ -114,18 +108,45 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _echo_config(cfg, outdir: Path):
+def _start(cfg):
+    """What every config command does first: make the output directory and
+    log to it, load the dataset, then echo the config as
+    ``effective_config.json``, so that a run failing later keeps it."""
+    outdir = _outdir(cfg["output_dir"], cfg["log_level"])
+    dataset = load_dataset([(e["name"], e["path"]) for e in cfg["paths"]["layers"]],
+                           cfg["paths"]["features"], cfg["paths"]["labels"])
     _write_json(outdir / "effective_config.json", cfg)
+    return outdir, dataset
+
+
+def _split(cfg, dataset, seed):
+    t = cfg["training"]
+    return tr.stratified_split(dataset.labels, dataset, t["test_layer"], test_frac=t["test_frac"],
+                               val_frac_of_rest=t["val_frac"], seed=seed)
+
+
+def _train(cfg, dataset, split, seed):
+    t = cfg["training"]
+    return tr.train(GnnConfig(**cfg["model"]), dataset, split, epochs=t["epochs"], lr=t["lr"],
+                    seed=seed, pos_weight=t["pos_weight"])
+
+
+def _load_checkpoint_for(checkpoint_path, dataset):
+    params, model_cfg, _ = tr.load_checkpoint(checkpoint_path)
+    if params.d_in != dataset.features.n_features:
+        raise ConfigError(
+            f"checkpoint expects {params.d_in} features, dataset has "
+            f"{dataset.features.n_features}"
+        )
+    return params, model_cfg
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: cmd_x(cfg, args) for config commands, cmd_x(args) for the others
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(cfg) -> int:
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
-    dataset = _load_dataset(cfg)
+def cmd_ingest(cfg, args) -> int:
+    outdir, dataset = _start(cfg)
     summary = {
         "n_genes": dataset.n_genes,
         "n_features": dataset.features.n_features,
@@ -141,33 +162,19 @@ def cmd_ingest(cfg) -> int:
             "unlabeled": dataset.n_genes - len(dataset.labels),
         },
     }
-    _echo_config(cfg, outdir)
     _write_json(outdir / "dataset_summary.json", summary)
     logger.info("ingested %d genes across %d layers", dataset.n_genes, dataset.n_layers)
     return EXIT_OK
 
 
-def cmd_train(cfg) -> int:
-    from . import training as tr
-    from .config import GnnConfig
-
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
-    dataset = _load_dataset(cfg)
-    model_cfg = GnnConfig(**cfg["model"])
-    t = cfg["training"]
-    split = tr.stratified_split(
-        dataset.labels, dataset, t["test_layer"],
-        test_frac=t["test_frac"], val_frac_of_rest=t["val_frac"], seed=t["seed"],
-    )
-    params, report = tr.train(
-        model_cfg, dataset, split, epochs=t["epochs"], lr=t["lr"],
-        seed=t["seed"], pos_weight=t["pos_weight"],
-    )
-    tr.save_checkpoint(params, model_cfg, t["seed"], outdir / "checkpoint.bin")
+def cmd_train(cfg, args) -> int:
+    outdir, dataset = _start(cfg)
+    seed = cfg["training"]["seed"]
+    split = _split(cfg, dataset, seed)
+    params, report = _train(cfg, dataset, split, seed)
+    tr.save_checkpoint(params, GnnConfig(**cfg["model"]), seed, outdir / "checkpoint.bin")
     _write_json(outdir / "report.json", report.as_dict(include_timing=False))
     _write_json(outdir / "split.json", split.as_dict())
-    _echo_config(cfg, outdir)
     logger.info(
         "trained %d epochs in %.1fs (best epoch %d, val %.4f): test AUPRC %.4f",
         report.epochs, report.wall_clock_sec, report.best_epoch,
@@ -176,44 +183,19 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(checkpoint_path, dataset):
-    from .errors import ConfigError
-    from .training import load_checkpoint
-
-    params, model_cfg, seed = load_checkpoint(checkpoint_path)
-    if params.d_in != dataset.features.n_features:
-        raise ConfigError(
-            f"checkpoint expects {params.d_in} features, dataset has "
-            f"{dataset.features.n_features}"
-        )
-    return params, model_cfg, seed
-
-
-def cmd_evaluate(cfg, checkpoint, split_path=None) -> int:
-    import numpy as np
-
-    from . import training as tr
-    from .errors import ConfigError, DataError
-    from .gnn import forward
-
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
-    dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
-    t = cfg["training"]
-    if split_path:
+def cmd_evaluate(cfg, args) -> int:
+    outdir, dataset = _start(cfg)
+    params, model_cfg = _load_checkpoint_for(args.checkpoint, dataset)
+    if args.split:
         try:
-            split = tr.SplitSpec.from_dict(_read_json(split_path, DataError))
+            split = tr.SplitSpec.from_dict(_read_json(args.split, DataError))
         except ConfigError as err:
-            raise DataError(f"{split_path}: {err}") from err
+            raise DataError(f"{args.split}: {err}") from err
         unlabeled = {*split.test_ids, *split.train_ids, *split.val_ids} - set(dataset.labels.labels)
         if unlabeled:
-            raise DataError(f"{split_path}: gene id {min(unlabeled)} is not a labeled gene")
+            raise DataError(f"{args.split}: gene id {min(unlabeled)} is not a labeled gene")
     else:
-        split = tr.stratified_split(
-            dataset.labels, dataset, t["test_layer"],
-            test_frac=t["test_frac"], val_frac_of_rest=t["val_frac"], seed=t["seed"],
-        )
+        split = _split(cfg, dataset, cfg["training"]["seed"])
     probs = forward(params, model_cfg, dataset)
     result = {}
     for name, ids in (("test", split.test_ids), ("val", split.val_ids), ("train", split.train_ids)):
@@ -223,15 +205,12 @@ def cmd_evaluate(cfg, checkpoint, split_path=None) -> int:
             result[f"{name}_auprc"] = tr.auprc(probs[ids], targets)
         else:
             result[f"{name}_auprc"] = None
-    _echo_config(cfg, outdir)
     _write_json(outdir / "evaluation.json", result)
     logger.info("evaluation: %s", result)
     return EXIT_OK
 
 
 def _resolve_genes(dataset, raw_names):
-    from .errors import DataError
-
     ids = []
     for name in raw_names:
         if name in dataset.catalog:
@@ -243,45 +222,38 @@ def _resolve_genes(dataset, raw_names):
     return ids
 
 
-def _read_genes_file(path):
-    """The lines of a ``--genes-file``; a byte that is not UTF-8 is a DataError."""
-    from .data import utf8_error
-
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
-
-
 def _explain_filename(gene: str) -> str:
     """``explain_<gene>.json``, with only '%' and '/' percent-encoded so that
     every gene name maps to its own file inside the output directory."""
     return "explain_" + gene.replace("%", "%25").replace("/", "%2F") + ".json"
 
 
-def cmd_explain(cfg, checkpoint, genes) -> int:
-    """Explain each named gene once, in the order first named.
+def cmd_explain(cfg, args) -> int:
+    """Explain each gene named by ``--genes`` and ``--genes-file`` once, in
+    the order first named.
 
     ``run.log`` gets each gene's wall time and its feature-IG completeness
     gap ``|sum of attributions - (F(x) - F(0))|``.
     """
-    from . import analysis as an
-    from . import explain as ex
-    from .gnn import prepare
-
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
+    genes = (args.genes or "").split(",")
+    if args.genes_file:
+        try:
+            genes += Path(args.genes_file).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise utf8_error(args.genes_file) from None
+    genes = [g.strip() for g in genes if g.strip()]
+    if not genes:
+        raise _UsageError("explain needs --genes or --genes-file")
+    outdir, dataset = _start(cfg)
     repeats = [name for name, count in Counter(genes).items() if count > 1]
     if repeats:
         logger.warning("explaining once each gene named more than once: %s", ", ".join(repeats))
         genes = list(dict.fromkeys(genes))
-    dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
+    params, model_cfg = _load_checkpoint_for(args.checkpoint, dataset)
     gene_ids = _resolve_genes(dataset, genes)
     steps = cfg["explain"]["steps"]
     scope = cfg["explain"]["edge_ig_scope"]
     prep = prepare(model_cfg, dataset)
-    _echo_config(cfg, outdir)
     spans = ex.logit_spans(params, model_cfg, prep)
     meta_attrs = {}
     for name, gid in zip(genes, gene_ids):
@@ -305,21 +277,17 @@ def cmd_explain(cfg, checkpoint, genes) -> int:
     return EXIT_OK
 
 
-def cmd_discover(cfg, checkpoint, threshold=None, precision_target=0.95) -> int:
-    from . import analysis as an
-
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
-    dataset = _load_dataset(cfg)
-    params, model_cfg, _ = _load_checkpoint_for(checkpoint, dataset)
-    result = an.discover_candidates(params, model_cfg, dataset, threshold, precision_target)
-    if threshold is None:
-        note = f"precision_target={precision_target}"
+def cmd_discover(cfg, args) -> int:
+    outdir, dataset = _start(cfg)
+    params, model_cfg = _load_checkpoint_for(args.checkpoint, dataset)
+    result = an.discover_candidates(params, model_cfg, dataset, args.threshold,
+                                    args.precision_target)
+    if args.threshold is None:
+        note = f"precision_target={args.precision_target}"
     else:
         note = "threshold_override=true"
     an.write_candidates_csv(result, outdir / "candidates.csv", header_note=note)
     an.write_ranking_csv(result.full_ranking, outdir / "unlabeled_ranking.csv")
-    _echo_config(cfg, outdir)
     logger.info("threshold %.6f -> %d candidate(s) of %d unlabeled",
                 result.threshold, len(result.candidates), len(result.full_ranking))
     return EXIT_OK
@@ -334,10 +302,6 @@ class _Neighbor:
 
 
 def _ranked_from_file(path):
-    from . import analysis as an
-    from .config import check_section
-    from .errors import ConfigError, DataError
-
     path = Path(path)
     if path.suffix == ".json":
         payload = _read_json(path, DataError)
@@ -353,33 +317,18 @@ def _ranked_from_file(path):
     return an.load_ranking_csv(path)
 
 
-def cmd_gsea(ranked_path, gene_sets_path, permutations, seed, outdir, log_level="info") -> int:
-    from . import analysis as an
-    from .data import load_gene_sets
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _setup_logging(log_level, outdir)
-    ranked = _ranked_from_file(ranked_path)
-    sets = load_gene_sets(gene_sets_path)
-    results = an.gsea_prerank(ranked, sets, permutations=permutations, seed=seed)
-    an.write_enrichment_csv(results, outdir / "enrichment.csv", permutations=permutations)
-    logger.info("enrichment over %d sets, %d permutations", len(results), permutations)
+def cmd_gsea(args) -> int:
+    outdir = _outdir(args.out, args.log_level or "info")
+    ranked = _ranked_from_file(args.ranked)
+    sets = load_gene_sets(args.gene_sets)
+    results = an.gsea_prerank(ranked, sets, permutations=args.permutations, seed=args.seed)
+    an.write_enrichment_csv(results, outdir / "enrichment.csv", permutations=args.permutations)
+    logger.info("enrichment over %d sets, %d permutations", len(results), args.permutations)
     return EXIT_OK
 
 
-def cmd_ablate(cfg) -> int:
-    import numpy as np
-
-    from . import training as tr
-    from .config import GnnConfig
-    from .data import perturb_features, remove_edges
-
-    outdir = _outdir(cfg)
-    _setup_logging(cfg["log_level"], outdir)
-    base = _load_dataset(cfg)
-    model_cfg = GnnConfig(**cfg["model"])
-    t = cfg["training"]
+def cmd_ablate(cfg, args) -> int:
+    outdir, base = _start(cfg)
     mode, fraction, seeds = (cfg["ablation"][key] for key in ("mode", "fraction", "seeds"))
 
     scores = []
@@ -392,14 +341,7 @@ def cmd_ablate(cfg) -> int:
             dataset = remove_edges(base, fraction, seed)
         else:
             dataset = base
-        split = tr.stratified_split(
-            dataset.labels, dataset, t["test_layer"],
-            test_frac=t["test_frac"], val_frac_of_rest=t["val_frac"], seed=seed,
-        )
-        _, report = tr.train(
-            model_cfg, dataset, split, epochs=t["epochs"], lr=t["lr"],
-            seed=seed, pos_weight=t["pos_weight"],
-        )
+        _, report = _train(cfg, dataset, _split(cfg, dataset, seed), seed)
         scores.append(report.test_auprc)
         logger.info("ablate %s seed %d: test AUPRC %.4f", mode, seed, scores[-1])
 
@@ -411,32 +353,26 @@ def cmd_ablate(cfg) -> int:
         "mean": float(np.mean(scores)),
         "std": float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0,
     }
-    _echo_config(cfg, outdir)
     _write_json(outdir / f"ablation_{mode}.json", payload)
     return EXIT_OK
 
 
-def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_level="info") -> int:
-    from . import synth
-    from .config import RunConfig, check_section
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _setup_logging(log_level, outdir)
+def cmd_synth(args) -> int:
+    outdir = _outdir(args.out, args.log_level or "info")
     dataset, truth = synth.planted_dataset(
-        n_genes=n_genes, n_layers=n_layers, n_features=n_features,
-        seed=seed, variant=variant, signal_strength=signal,
+        n_genes=args.n_genes, n_layers=args.n_layers, n_features=args.n_features,
+        seed=args.seed, variant=args.variant, signal_strength=args.signal,
     )
-    sets = synth.planted_gene_sets(truth, seed=seed)
+    sets = synth.planted_gene_sets(truth, seed=args.seed)
     paths = synth.write_planted(outdir, dataset, truth, sets)
     config = check_section(RunConfig, {
         "paths": {key: paths[key] for key in ("layers", "features", "labels", "gene_sets")},
-        "training": {"seed": seed, "test_layer": dataset.layers[0].layer_name},
+        "training": {"seed": args.seed, "test_layer": dataset.layers[0].layer_name},
         "output_dir": str(outdir / "run"),
     }, "", omit=("activation", "log_level"))  # the log level is left to the flag
     _write_json(outdir / "config.json", config)
     logger.info("wrote planted dataset (%d genes, %d layers) under %s",
-                n_genes, n_layers, outdir)
+                args.n_genes, args.n_layers, outdir)
     return EXIT_OK
 
 
@@ -445,8 +381,6 @@ def cmd_synth(outdir, n_genes, n_layers, n_features, seed, variant, signal, log_
 # ---------------------------------------------------------------------------
 
 def _build_parser():
-    from .config import LOG_LEVELS
-
     def at_least(lo):
         def integer(text):
             if int(text) < lo:
@@ -473,35 +407,38 @@ def _build_parser():
                      description="Multilayer GNN training, explanation, and analysis")
     parser.add_argument("--log-level", default=None, choices=LOG_LEVELS,
                         help="overrides log_level (default info)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=at_least(1), default=None,
                         help="BLAS thread cap (1 guarantees bit-reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
+    def with_config(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None, help="override training.seed")
         p.add_argument("--out", default=None, help="override output_dir")
         return p
 
-    with_config(sub.add_parser("ingest", help="load and validate a dataset"))
-    with_config(sub.add_parser("train", help="split, train, checkpoint"))
+    with_config("ingest", cmd_ingest, "load and validate a dataset")
+    with_config("train", cmd_train, "split, train, checkpoint")
 
-    p = with_config(sub.add_parser("evaluate", help="AUPRC of a checkpoint"))
+    p = with_config("evaluate", cmd_evaluate, "AUPRC of a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default=None, help="split.json from a train run")
 
-    p = with_config(sub.add_parser("explain", help="attributions per gene"))
+    p = with_config("explain", cmd_explain, "attributions per gene")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--genes", default=None, help="comma-separated gene names")
     p.add_argument("--genes-file", default=None, help="file with one gene name per line")
 
-    p = with_config(sub.add_parser("discover", help="threshold and rank unlabeled genes"))
+    p = with_config("discover", cmd_discover, "threshold and rank unlabeled genes")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--threshold", type=finite, default=None,
                    help="skip threshold selection and use this value")
     p.add_argument("--precision-target", type=fraction, default=0.95)
 
     p = sub.add_parser("gsea", help="preranked enrichment of a gene list")
+    p.set_defaults(run=cmd_gsea)
     p.add_argument("--ranked", required=True,
                    help="ranking CSV (gene,score) or an explain output JSON")
     p.add_argument("--gene-sets", required=True, help="GMT file")
@@ -509,13 +446,14 @@ def _build_parser():
     p.add_argument("--seed", type=at_least(0), default=0)
     p.add_argument("--out", default="out")
 
-    p = with_config(sub.add_parser("ablate", help="train under input perturbations"))
+    p = with_config("ablate", cmd_ablate, "train under input perturbations")
     p.add_argument("--mode", default=None, help="overrides ablation.mode")
     p.add_argument("--fraction", type=float, default=None, help="overrides ablation.fraction")
     p.add_argument("--seeds", type=integers, default=None,
                    help="comma-separated run seeds; overrides ablation.seeds")
 
     p = sub.add_parser("synth", help="generate a planted dataset")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--out", required=True)
     # the smallest planted task synth.planted_dataset builds
     p.add_argument("--n-genes", type=at_least(8), default=200)
@@ -546,47 +484,18 @@ def _apply_threads(n, allow_reexec):
 
 
 def main(argv=None) -> int:
-    from .errors import CheckpointError, ConfigError, DataError, NumericError
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _apply_threads(args.threads, allow_reexec=argv is None)
-
-        if args.command == "gsea":
-            return cmd_gsea(args.ranked, args.gene_sets, args.permutations,
-                            args.seed, args.out, args.log_level or "info")
-        if args.command == "synth":
-            return cmd_synth(args.out, args.n_genes, args.n_layers, args.n_features,
-                             args.seed, args.variant, args.signal, args.log_level or "info")
-
+        if "config" not in args:  # gsea and synth
+            return args.run(args)
         overrides = {"": {"output_dir": args.out, "log_level": args.log_level},
                      "training": {"seed": args.seed}}
         if args.command == "ablate":
             overrides["ablation"] = {"mode": args.mode, "fraction": args.fraction,
                                      "seeds": args.seeds}
-        cfg = load_config(args.config, overrides)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.split)
-        if args.command == "explain":
-            genes = []
-            if args.genes:
-                genes += [g.strip() for g in args.genes.split(",") if g.strip()]
-            if args.genes_file:
-                genes += [line.strip() for line in _read_genes_file(args.genes_file)
-                          if line.strip()]
-            if not genes:
-                raise _UsageError("explain needs --genes or --genes-file")
-            return cmd_explain(cfg, args.checkpoint, genes)
-        if args.command == "discover":
-            return cmd_discover(cfg, args.checkpoint, args.threshold, args.precision_target)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(load_config(args.config, overrides), args)
     except (_UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -53,12 +53,6 @@ class GeneCatalog:
         self.index[name] = gid
         return gid
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise DataError(f"unknown gene name {name!r}") from None
-
     def __len__(self):
         return len(self.names)
 

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,6 +122,48 @@ class TestTrain:
         bad.write_text(json.dumps(cfg))
         with np.errstate(over="ignore", invalid="ignore"):
             assert run("train", "--config", bad) == 3
+
+    def test_run_log_names_the_cli_logger_under_python_m(self, ws, tmp_path):
+        cfg = json.loads(ws["config"].read_text())
+        cfg["training"]["epochs"] = 5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "multilayer_gnn.cli", "--threads", "1",
+             "train", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        log = (out / "run.log").read_text(encoding="utf-8")
+        assert re.search(r" INFO multilayer_gnn\.cli: trained 5 epochs", log), log
+        assert "__main__" not in log
+
+
+class TestConfigEchoOnFailure:
+    """A config command echoes its config once the dataset loads, so a run
+    that fails after that keeps the same ``effective_config.json``."""
+
+    def test_diverged_train_keeps_the_echo(self, ws, tmp_path):
+        cfg = json.loads(ws["config"].read_text())
+        cfg["training"].update(lr=1e120, epochs=30)
+        cfg["output_dir"] = str(tmp_path / "div")
+        bad = tmp_path / "div.json"
+        bad.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train", "--config", bad) == 3
+        want = json.loads((ws["run"] / "effective_config.json").read_text())
+        want["training"].update(lr=1e120, epochs=30)
+        want["output_dir"] = cfg["output_dir"]
+        assert json.loads((tmp_path / "div" / "effective_config.json").read_text()) == want
+
+    def test_discover_on_a_non_checkpoint_keeps_the_echo(self, ws, tmp_path):
+        out = tmp_path / "disc"
+        assert run("discover", "--config", ws["config"], "--checkpoint", ws["config"],
+                   "--out", out) == 2
+        want = json.loads((ws["run"] / "effective_config.json").read_text())
+        want["output_dir"] = str(out)
+        assert json.loads((out / "effective_config.json").read_text()) == want
 
 
 class TestEvaluate:
@@ -601,8 +644,9 @@ class TestUsageFlags:
         (["gsea", "--ranked", "r.csv", "--gene-sets", "s.gmt", "--permutations", -1],
          "--permutations"),
         (["gsea", "--ranked", "r.csv", "--gene-sets", "s.gmt", "--seed", -1], "--seed"),
+        (["--threads", 0, "synth"], "--threads"),
     ], ids=["n-genes", "n-layers", "n-features", "synth-seed", "n-genes-text",
-            "permutations", "gsea-seed"])
+            "permutations", "gsea-seed", "threads"])
     def test_out_of_range_flag_exits_1_naming_it(self, tmp_path, capsys, argv, flag):
         assert run(*argv, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
@@ -690,6 +734,25 @@ class TestMalformedRankedJson:
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"error: {bad}: field {field}" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedRankingCsv:
+    @pytest.mark.parametrize("row, shown", [
+        ("G0002,nan", "score must be a finite number, got 'nan'"),
+        ("G0002,inf", "score must be a finite number, got 'inf'"),
+        ("G0002,-inf", "score must be a finite number, got '-inf'"),
+        ("G0002,high", "score must be a finite number, got 'high'"),
+        ("G0002,", "score must be a finite number, got ''"),
+        ("G0002", "row has no score"),
+    ], ids=["nan", "inf", "minus-inf", "text", "empty", "short"])
+    def test_gsea_exits_2_naming_the_line(self, ws, tmp_path, capsys, row, shown):
+        bad = tmp_path / "r.csv"
+        bad.write_text(f"gene,score\n# a comment\nG0001,0.5\n\n{row}\nG0003,0.1\n")
+        assert run("gsea", "--ranked", bad, "--gene-sets", ws["data"] / "gene_sets.gmt",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}:5: {shown}" in err
         assert "Traceback" not in err
 
 
