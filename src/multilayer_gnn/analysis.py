@@ -312,16 +312,19 @@ def write_ranking_csv(ranked: RankedGeneList, path):
 
 def load_ranking_csv(path) -> RankedGeneList:
     """The ``gene,score`` rows of a ranking CSV; a row whose score is missing,
-    not a number or not finite is a DataError naming its line."""
+    not a number or not finite, or whose gene an earlier row named, is a
+    DataError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
         except UnicodeDecodeError:
             raise utf8_error(path) from None
+        except csv.Error as err:
+            raise utf8_error(path) or DataError(str(err), path=path, line=reader.line_num) from None
     if not rows or [c.lower() for c in rows[0][1][:2]] != ["gene", "score"]:
         raise DataError("ranking CSV must start with a 'gene,score[,...]' header", path=path)
-    pairs = []
+    scores = {}
     for line, row in rows[1:]:
         if len(row) < 2:
             raise DataError("row has no score", path=path, line=line)
@@ -331,8 +334,10 @@ def load_ranking_csv(path) -> RankedGeneList:
             score = math.nan
         if not math.isfinite(score):
             raise DataError(f"score must be a finite number, got {row[1]!r}", path=path, line=line)
-        pairs.append((row[0], score))
-    return RankedGeneList(pairs)
+        if row[0] in scores:
+            raise DataError(f"duplicate gene {row[0]!r}", path=path, line=line)
+        scores[row[0]] = score
+    return RankedGeneList(scores.items())
 
 
 def write_neighbor_fractions_csv(table: dict, dataset: MultilayerDataset, path):

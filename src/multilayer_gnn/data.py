@@ -5,7 +5,8 @@ DataError naming its line):
   edge list    whitespace-separated gene pairs, one per line, '#' comments
   features     CSV with header row ``gene,<name>,...``; an optional second
                row whose first cell is ``group`` tags each feature with an
-               omic group
+               omic group. Read in one pass: the first bad row or cell in
+               file order is the error, after any byte that is not UTF-8
   labels       ``gene<TAB>0|1``
   gene sets    GMT (set name, description, members, tab-separated)
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import logging
 import math
 
@@ -248,9 +248,9 @@ class GeneSetCollection:
 # loaders
 # ---------------------------------------------------------------------------
 
-def utf8_error(path) -> DataError:
+def utf8_error(path) -> DataError | None:
     """A DataError naming the line of the first byte of ``path`` that is not
-    UTF-8, for a reader that met a ``UnicodeDecodeError``.
+    UTF-8, or None if every byte is.
 
     Text readers decode in blocks, so the error they raise cannot say which
     line failed; this decodes the whole file again to find it. Lines end at
@@ -264,7 +264,7 @@ def utf8_error(path) -> DataError:
         head = raw[:err.start].decode("utf-8")
         line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
         return DataError(f"not valid UTF-8 (byte 0x{raw[err.start]:02x})", path=path, line=line)
-    return DataError("not valid UTF-8", path=path)
+    return None
 
 
 def _data_lines(path):
@@ -310,19 +310,16 @@ def load_layer_graph(path, catalog: GeneCatalog, layer_name: str) -> LayerGraph:
     return LayerGraph(layer_name, pairs.ravel(), pairs[pairs[:, 0] != pairs[:, 1]])
 
 
-def _cell_error(rows, linenos, path):
-    """DataError naming the first cell, in file order, that is not a finite
-    float; some cell of ``rows`` must be one."""
-    for row, lineno in zip(rows, linenos):
-        for col, cell in enumerate(row[1:], start=2):
-            try:
-                val = float(cell)
-            except ValueError:
-                return DataError(f"non-numeric cell {cell!r} (column {col})",
-                                 path=path, line=lineno)
-            if not math.isfinite(val):
-                return DataError(f"non-finite cell {cell!r} (column {col})",
-                                 path=path, line=lineno)
+def _cell_error(row, lineno, path):
+    """DataError naming the first cell of ``row`` that is not a finite float;
+    ``row`` must have one."""
+    for col, cell in enumerate(row[1:], start=2):
+        try:
+            val = float(cell)
+        except ValueError:
+            return DataError(f"non-numeric cell {cell!r} (column {col})", path=path, line=lineno)
+        if not math.isfinite(val):
+            return DataError(f"non-finite cell {cell!r} (column {col})", path=path, line=lineno)
 
 
 def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
@@ -330,68 +327,59 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
 
     Catalog genes missing from the file receive all-zero rows (counted on
     ``FeatureMatrix.missing``); genes in the file but not in the catalog are
-    an error.
+    an error. Each row is checked and its cells parsed as it is read, so the
+    error raised is the first bad row or cell in file order, unless some
+    byte of the file is not UTF-8: that is reported first, wherever it is.
     """
+    n = len(catalog)
+    seen = set()
+    omic_group = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            header = next(rows, None)
+            if header is None:
+                raise DataError("feature file is empty", path=path)
+            if len(header) < 2:
+                raise DataError("feature header needs a gene column and at least one feature",
+                                path=path)
+            feature_names = [c.strip() for c in header[1:]]
+            d = len(feature_names)
+            if len(set(feature_names)) != d:
+                raise DataError("duplicate feature names", path=path, line=1)
+            values = np.zeros((n, d))
+            for lineno, row in enumerate(rows, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 2 and row[0].strip().lower() == "group":
+                    omic_group = [c.strip() for c in row[1:]]
+                    if len(omic_group) != d:
+                        raise DataError("group row length does not match feature count",
+                                        path=path, line=2)
+                    continue
+                if len(row) != d + 1:
+                    raise DataError(f"expected {d + 1} fields, got {len(row)}",
+                                    path=path, line=lineno)
+                gene = row[0].strip()
+                gid = catalog.index.get(gene)
+                if gid is None:
+                    raise DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
+                if gid in seen:
+                    raise DataError(f"duplicate feature row for gene {gene!r}",
+                                    path=path, line=lineno)
+                seen.add(gid)
+                try:
+                    values[gid] = [float(cell) for cell in row[1:]]
+                except ValueError:
+                    raise _cell_error(row, lineno, path) from None
+                if not np.isfinite(values[gid]).all():
+                    raise _cell_error(row, lineno, path)
         except UnicodeDecodeError:
             raise utf8_error(path) from None
-    if not rows:
-        raise DataError("feature file is empty", path=path)
-    header = rows[0]
-    if len(header) < 2:
-        raise DataError("feature header needs a gene column and at least one feature", path=path)
-    feature_names = [c.strip() for c in header[1:]]
-    body_start = 1
-    omic_group = None
-    if len(rows) > 1 and rows[1] and rows[1][0].strip().lower() == "group":
-        group_row = [c.strip() for c in rows[1][1:]]
-        if len(group_row) != len(feature_names):
-            raise DataError("group row length does not match feature count", path=path, line=2)
-        omic_group = group_row
-        body_start = 2
-
-    # rows are checked first and their cells parsed in one pass after; an
-    # error reports whichever bad row or cell comes first in the file
-    n, d = len(catalog), len(feature_names)
-    kept, gids, linenos, row_error = [], [], [], None
-    seen = set()
-    for lineno, row in enumerate(rows[body_start:], start=body_start + 1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != d + 1:
-            row_error = DataError(
-                f"expected {d + 1} fields, got {len(row)}", path=path, line=lineno
-            )
-            break
-        gene = row[0].strip()
-        if gene not in catalog:
-            row_error = DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
-            break
-        gid = catalog.index[gene]
-        if gid in seen:
-            row_error = DataError(
-                f"duplicate feature row for gene {gene!r}", path=path, line=lineno
-            )
-            break
-        seen.add(gid)
-        kept.append(row)
-        gids.append(gid)
-        linenos.append(lineno)
-
-    cells = itertools.chain.from_iterable(row[1:] for row in kept)
-    try:
-        flat = np.fromiter(map(float, cells), dtype=np.float64, count=len(kept) * d)
-    except ValueError:
-        flat = None
-    if flat is None or not np.isfinite(flat).all():
-        raise _cell_error(kept, linenos, path)
-    if row_error is not None:
-        raise row_error
-    del rows, kept
-    values = np.zeros((n, d))
-    values[gids] = flat.reshape(-1, d)
+        except csv.Error as err:
+            raise utf8_error(path) or DataError(str(err), path=path, line=rows.line_num) from None
+        except DataError as err:  # a byte that is not UTF-8 wins, wherever it is
+            raise utf8_error(path) or err from None
 
     missing = tuple(catalog.names[g] for g in range(n) if g not in seen)
     if missing:
@@ -405,11 +393,11 @@ def load_labels(path, catalog: GeneCatalog) -> LabelSet:
     labels: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         gene, tag = _two_columns(line, path, lineno)
-        if gene not in catalog:
+        gid = catalog.index.get(gene)
+        if gid is None:
             raise DataError(f"label for unknown gene {gene!r}", path=path, line=lineno)
         if tag not in ("0", "1"):
             raise DataError(f"label must be 0 or 1, got {tag!r}", path=path, line=lineno)
-        gid = catalog.index[gene]
         val = int(tag)
         if gid in labels and labels[gid] != val:
             raise DataError(f"conflicting labels for gene {gene!r}", path=path, line=lineno)

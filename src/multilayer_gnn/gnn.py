@@ -434,6 +434,7 @@ def predict(params: ModelParams, h_meta) -> np.ndarray:
 
 
 def forward(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset) -> np.ndarray:
-    """End-to-end probabilities for every catalog gene."""
-    res = run_model(params, cfg, prepare(cfg, dataset))
+    """End-to-end probabilities for every catalog gene. The pass runs on
+    constants, so it keeps no tape, whatever ``params`` are."""
+    res = run_model(params.constants(), cfg, prepare(cfg, dataset))
     return ad.sigmoid(res.logits.data[:, 0])

@@ -55,17 +55,16 @@ class PlantedTruth:
 
 
 def _communities(rng, members, community_size, p_in):
-    """Partition members into chunks and wire each chunk densely."""
+    """Partition members into chunks and wire each chunk densely: one (k, 2)
+    pair array per chunk, one draw per pair in row-major pair order."""
     members = np.asarray(members)
     members = members[rng.permutation(members.size)]
     edges = []
     for start in range(0, members.size, community_size):
         chunk = members[start:start + community_size]
-        for i in range(chunk.size):
-            for j in range(i + 1, chunk.size):
-                if rng.random() < p_in:
-                    a, b = int(chunk[i]), int(chunk[j])
-                    edges.append((min(a, b), max(a, b)))
+        i, j = np.triu_indices(chunk.size, 1)
+        keep = rng.random(i.size) < p_in
+        edges.append(np.stack([chunk[i[keep]], chunk[j[keep]]], axis=1))
     return edges
 
 
@@ -114,10 +113,9 @@ def planted_dataset(n_genes: int = 200, n_layers: int = 2, n_features: int = 16,
                 )
         else:  # no signal: communities ignore the attributes entirely
             edges += _communities(rng, np.arange(n_genes), community_size, p_in)
-        for _ in range(n_genes // 2):  # sparse background noise edges
-            a, b = rng.choice(n_genes, size=2, replace=False)
-            edges.append((min(int(a), int(b)), max(int(a), int(b))))
-        layers.append(LayerGraph(f"L{k}", all_nodes, np.array(sorted(set(edges)))))
+        # sparse background noise edges
+        edges.append([rng.choice(n_genes, size=2, replace=False) for _ in range(n_genes // 2)])
+        layers.append(LayerGraph(f"L{k}", all_nodes, np.concatenate(edges)))
 
     # hold out a stratified slice of genes as unlabeled, ground truth kept
     unlabeled = []

@@ -258,7 +258,7 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
         best_params = params.copy()
         report.best_epoch = epochs - 1
 
-    final = run_model(best_params, cfg, prep)
+    final = run_model(best_params.constants(), cfg, prep)
     report.test_auprc = auprc(ad.sigmoid(final.logits.data[test_ids, 0]), test_targets)
     report.wall_clock_sec = time.perf_counter() - started
     return best_params, report

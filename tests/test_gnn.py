@@ -437,6 +437,41 @@ class TestFeatureGrad:
         assert per_epoch.tolist() == [ds.n_layers * (encoder_layers - 1) + meta_layers] * 2
 
 
+class TestInferenceKeepsNoTape:
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_forward_runs_on_constants(self, arch, monkeypatch):
+        ds = build_dataset()
+        cfg = tiny_cfg(arch=arch)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=4)
+        assert all(t.needs_grad for t in params.tensors())
+        taped = gnn.run_model(params, cfg, gnn.prepare(cfg, ds))
+        seen, original = [], gnn.run_model
+
+        def spy(weights, *args, **kwargs):
+            seen.append([name for name, t in weights.named() if t.needs_grad])
+            return original(weights, *args, **kwargs)
+
+        monkeypatch.setattr(gnn, "run_model", spy)
+        probs = gnn.forward(params, cfg, ds)
+        assert seen == [[]]
+        assert probs.tobytes() == ad.sigmoid(taped.logits.data[:, 0]).tobytes()
+
+    def test_train_scores_the_test_set_on_constants(self, monkeypatch):
+        from multilayer_gnn import training as tr
+
+        ds = build_dataset()
+        split = tr.SplitSpec("L0", test_ids=(2, 3), train_ids=(0, 1), val_ids=(), seed=0)
+        seen, original = [], tr.run_model
+
+        def spy(weights, *args, **kwargs):
+            seen.append(any(t.needs_grad for t in weights.tensors()))
+            return original(weights, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "run_model", spy)
+        tr.train(tiny_cfg(), ds, split, epochs=2, seed=0)
+        assert seen == [True, True, False]
+
+
 class TestPrecomputedStack:
     def test_constants_share_the_parameter_arrays(self):
         params = gnn.init_params(tiny_cfg(arch="gat"), 4, seed=3)

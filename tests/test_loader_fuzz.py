@@ -1,0 +1,136 @@
+"""Fuzzed input to the two CSV readers: the feature matrix and the ranking CSV.
+
+Any bytes either load or raise a DataError naming the file; a features file
+with injected defects reports the first one in file order.
+"""
+
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multilayer_gnn import analysis as an
+from multilayer_gnn import data as dm
+from multilayer_gnn.errors import DataError
+
+GENES = ["A", "B", "C", "group"]
+TOKENS = ["A", "B", "C", "Z", "gene", "score", "group", "f1", ",", ",", "\n", "\r\n", "\r", '"',
+          " ", "", "#", "1", "-2.5", "1_0", "0x1", "inf", "nan", "1e999", "oops", "\xe9", "\x00"]
+
+csv_like = st.lists(st.sampled_from(TOKENS), max_size=40).map(lambda t: "".join(t).encode())
+any_bytes = st.binary(max_size=80) | csv_like | st.tuples(csv_like, st.binary(max_size=3),
+                                                          csv_like).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_fuzz")
+
+
+def loads_or_names_the_file(load, path, raw):
+    path.write_bytes(raw)
+    try:
+        load(str(path))
+    except DataError as err:
+        assert err.path == str(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=any_bytes)
+def test_any_feature_bytes_load_or_name_the_file(fuzz_dir, raw):
+    loads_or_names_the_file(lambda p: dm.load_feature_matrix(p, dm.GeneCatalog(GENES)),
+                            fuzz_dir / "features.csv", raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=any_bytes)
+def test_any_ranking_bytes_load_or_name_the_file(fuzz_dir, raw):
+    loads_or_names_the_file(an.load_ranking_csv, fuzz_dir / "ranking.csv", raw)
+
+
+@pytest.mark.parametrize("load", [lambda p: dm.load_feature_matrix(p, dm.GeneCatalog(["A"])),
+                                  an.load_ranking_csv], ids=["features", "ranking"])
+def test_field_over_the_csv_limit_names_the_file_and_line(tmp_path, load):
+    path = tmp_path / "big.csv"
+    path.write_text("gene,score\nA," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(DataError, match=r"big\.csv:2: field larger than field limit"):
+        load(str(path))
+
+
+def test_ranking_duplicate_gene_names_its_line(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("gene,score\nA,1\nB,2\nA,3\n")
+    with pytest.raises(DataError, match=r"r\.csv:4: duplicate gene 'A'"):
+        an.load_ranking_csv(str(path))
+
+
+# each defect kind and the start of the message it must raise
+DEFECTS = {
+    "fields": "expected",
+    "unknown": "gene 'ZZ' not in catalog",
+    "duplicate": "duplicate feature row",
+    "non-numeric": "non-numeric cell",
+    "non-finite": "non-finite cell",
+}
+
+
+@st.composite
+def defective_features(draw):
+    """(CSV text, catalog genes, line and message start of the first defect)."""
+    d = draw(st.integers(1, 3))
+    genes = [f"G{i}" for i in range(draw(st.integers(0, 5)))]
+    records = [["gene"] + [f"f{j}" for j in range(d)]]
+    if draw(st.booleans()):
+        records.append(["group"] + draw(st.lists(st.sampled_from("ab"), min_size=d, max_size=d)))
+    head = len(records)  # the header and group rows
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    for gene in genes:
+        if draw(st.booleans()):
+            records.append([])
+        records.append([gene] + draw(st.lists(cell, min_size=d, max_size=d)))
+
+    defects = []  # (line, kind), first in file order first
+    spare = iter(f"X{i}" for i in range(2))  # catalog genes that no other row names
+    start = head
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(start, len(records)))
+        kind = draw(st.sampled_from(sorted(DEFECTS)))
+        named = [r[0] for r in records[head:at] if r]
+        if kind == "duplicate" and not named:
+            kind = "unknown"
+        good = draw(st.lists(cell, min_size=d, max_size=d))
+        if kind == "fields":
+            row = [next(spare)] + (good + ["1"] if draw(st.booleans()) else good[:-1])
+        elif kind == "unknown":
+            row = ["ZZ"] + good
+        elif kind == "duplicate":
+            row = [draw(st.sampled_from(named))] + good
+        else:
+            bad = draw(st.sampled_from(["oops", "", "1,5"] if kind == "non-numeric"
+                                       else ["inf", "-inf", "nan", "1e999"]))
+            good[draw(st.integers(0, d - 1))] = bad
+            row = [next(spare)] + good
+        records.insert(at, row)
+        defects.append((at + 1, kind))
+        start = at + 1
+
+    out = io.StringIO(newline="")
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    csv.writer(out, quoting=quoting, lineterminator=newline).writerows(records)
+    line, kind = defects[0]
+    return out.getvalue(), genes + ["X0", "X1"], line, DEFECTS[kind]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=defective_features())
+def test_first_defect_in_file_order_is_reported(fuzz_dir, case):
+    text, genes, line, message = case
+    path = fuzz_dir / "defective.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as err:
+        dm.load_feature_matrix(str(path), dm.GeneCatalog(genes))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: {message}")

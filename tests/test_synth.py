@@ -1,5 +1,8 @@
 """Planted dataset generator tests."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,44 @@ class TestPlantedDataset:
         test_ids = list(split.test_ids)
         prevalence = np.mean([ds.labels.labels[g] for g in test_ids])
         assert abs(report.test_auprc - prevalence) < 0.25  # no better than chance
+
+
+def planted_digests(ds, truth):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return {
+        "edges": sha(json.dumps([lg.edges.tolist() for lg in ds.layers])),
+        "features": hashlib.sha256(ds.features.values.astype("<f8").tobytes()).hexdigest(),
+        "labels": sha(json.dumps(sorted(ds.labels.labels.items()))),
+        "truth": sha(json.dumps(truth.as_dict(), sort_keys=True)),
+    }
+
+
+@pytest.mark.parametrize("kwargs, digests", [
+    (dict(n_genes=200, seed=0, variant="complementary", signal_strength=1.0), {
+        "edges": "3f8f4d8168b1a63f8d1860fb8d3bcb2688353a48ac029a0521c6a1daca1e7b55",
+        "features": "a631f6a6c6726e8a38dc5da1727ed9a85b705040621696e11876c1e7fa2c0c0e",
+        "labels": "5c90af1ffecd361931eb88ec35f819604858056a0a0d109140b97e73c2676b6d",
+        "truth": "e6bf4d331012fce89be54f07953bbfcc872c6ce9c6911fc9f9dd2da0b1ac7b7f",
+    }),
+    (dict(n_genes=150, seed=3, variant="single", signal_strength=0.0), {
+        "edges": "b8e88d8699d8027b72d922da187ba76bb2fff44b05e25ea5693d98f2cc7a2063",
+        "features": "3048bc0af17d4710eab75d95d6cff5b11986f28c87fffaf6ca211c452c8a4dc0",
+        "labels": "bb5dd7a01442b3a805cd581be13a052a628ed8ef31fa4c2837bb1c5c40bf78ba",
+        "truth": "1db8425a6cdbbe8abc00ebed2741c2dedfa72c40e8bdb052b7b5198e9a4d5a67",
+    }),
+    (dict(n_genes=300, seed=11, variant="complementary", signal_strength=0.5, n_layers=3), {
+        "edges": "df0b25d9d59825c0debf8327075b4dcf953a4a10ae226de4a83aaf37f91af4ee",
+        "features": "10e4f756cc8218779b784d807def56847dc880dfb4ee790e6c4afb37a3195be1",
+        "labels": "e1238c5ea720d226c5457ad9fe1c2cb3b554c2838c23f6e8e7eeb7475b0f1eca",
+        "truth": "499f021bdaddb5e833f83af62cbb0d4c840df264f2fb0cd6cdd99764ea5d15db",
+    }),
+])
+def test_planted_dataset_golden_digests(kwargs, digests):
+    """The generated dataset is pinned to the last byte: the edge draws are
+    one ``rng.random`` per pair, in the same stream order as ever."""
+    assert planted_digests(*synth.planted_dataset(**kwargs)) == digests
 
 
 class TestGeneSets:
