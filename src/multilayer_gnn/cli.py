@@ -56,7 +56,7 @@ def _read_json(path, error):
     """The parsed JSON file at ``path``; an ``error`` naming it if it does not parse."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
         raise error(f"{path}: not valid JSON ({err})") from err
 
 
@@ -308,12 +308,17 @@ def _ranked_from_file(path):
         entries = payload.get("top_neighbors") if isinstance(payload, dict) else None
         if not isinstance(entries, list) or not entries:
             raise DataError("explain JSON has no top_neighbors section", path=str(path))
-        try:
-            entries = [check_section(_Neighbor, entry, f"top_neighbors[{i}]")
-                       for i, entry in enumerate(entries)]
-        except ConfigError as err:
-            raise DataError(f"field {err}", path=str(path)) from err
-        return an.RankedGeneList((e["gene"], e["importance"]) for e in entries)
+        scores = {}
+        for i, entry in enumerate(entries):
+            try:
+                entry = check_section(_Neighbor, entry, f"top_neighbors[{i}]")
+            except ConfigError as err:
+                raise DataError(f"field {err}", path=str(path)) from err
+            if entry["gene"] in scores:
+                raise DataError(f"duplicate gene {entry['gene']!r} in 'top_neighbors[{i}].gene'",
+                                path=str(path))
+            scores[entry["gene"]] = entry["importance"]
+        return an.RankedGeneList(scores.items())
     return an.load_ranking_csv(path)
 
 

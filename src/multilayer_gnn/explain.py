@@ -15,9 +15,12 @@ Two modes, both targeting the pre-sigmoid logit of one gene's meta node:
 Raw attributions keep their sign; the max-|.|-normalized values therefore
 live in [-1, 1], with a [0, 1] clamped view for display.
 
-Each call takes the parameters into the tape as constants that share their
-arrays, so no step computes a parameter gradient and every parameter's
-``grad`` is left as it was. Target-scope meta-edge IG holds the features and
+Both modes share one midpoint loop: each step is one ``run_model`` and one
+backward from the target logit. Each call first takes the parameters into
+the tape as constants that share their arrays, so no step computes a
+parameter gradient and every parameter's ``grad`` is left as it was; a
+non-finite parameter raises ``NumericError`` there, naming it ("non-finite
+values produced by head.w2"). Target-scope meta-edge IG holds the features and
 the encoder edges fixed, so it runs the encoder once per call (``encode``)
 and each step runs only the meta stage and the head (``run_model`` with
 ``stack=``).
@@ -31,7 +34,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import MultilayerDataset
-from .errors import NumericError
 from .gnn import GnnConfig, ModelParams, PreparedModel, encode, prepare, run_model
 
 
@@ -81,28 +83,32 @@ class MetaEdgeAttribution:
         }
 
 
-def _check_params(params: ModelParams):
-    for name, t in params.named():
-        if not np.isfinite(t.data).all():
-            raise NumericError(f"parameter {name!r} contains non-finite values")
-
-
 def _check_gene(dataset: MultilayerDataset, gene_id: int):
     if not 0 <= gene_id < dataset.n_genes:
         raise ValueError(f"gene id {gene_id} outside catalog of {dataset.n_genes}")
 
 
-def _midpoints(steps: int):
+def _path_average(weights, cfg: GnnConfig, prep: PreparedModel, gene: int, steps: int,
+                  step_kwargs, read_grad) -> np.ndarray:
+    """Midpoint average of the gradient of ``gene``'s logit along the path.
+    At each position ``alpha``: one :func:`run_model` with the keyword
+    arguments ``step_kwargs(alpha)``, one backward, and the gradient
+    ``read_grad(run, kwargs)`` added to the sum."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return (np.arange(steps) + 0.5) / steps
+    grad_sum = 0.0
+    for alpha in (np.arange(steps) + 0.5) / steps:
+        kwargs = step_kwargs(alpha)
+        res = run_model(weights, cfg, prep, **kwargs)
+        ad.backward(ad.row_gather(res.logits, [gene]))
+        grad_sum += read_grad(res, kwargs)
+    return grad_sum / steps
 
 
 def logit_spans(params: ModelParams, cfg: GnnConfig, prep: PreparedModel) -> np.ndarray:
     """``F(x) - F(0)`` per gene, the logit at the data minus the logit at the
     all-zero baseline: the total that a gene's feature attributions
     approach as the step count grows (IG completeness)."""
-    _check_params(params)
     weights = params.constants()
     f_x = run_model(weights, cfg, prep).logits.data[:, 0]
     zeros = np.zeros_like(prep.dataset.features.values)
@@ -112,68 +118,54 @@ def logit_spans(params: ModelParams, cfg: GnnConfig, prep: PreparedModel) -> np.
 def ig_node_features(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset,
                      gene: int, steps: int = 64, prep: PreparedModel = None) -> AttributionMatrix:
     """Feature attributions with the graph structure held fixed."""
-    _check_params(params)
+    weights = params.constants()
     _check_gene(dataset, gene)
     if prep is None:
         prep = prepare(cfg, dataset)
-    weights = params.constants()
     x_full = dataset.features.values
-    grad_sum = np.zeros_like(x_full)
-    for alpha in _midpoints(steps):
-        res = run_model(weights, cfg, prep, features=alpha * x_full)
-        target = ad.row_gather(res.logits, [gene])
-        ad.backward(target)
-        if res.x.grad is not None:
-            grad_sum += res.x.grad
-    matrix = x_full * (grad_sum / steps)
-    return AttributionMatrix(gene, matrix, baseline="zero", steps=steps)
+    grads = _path_average(weights, cfg, prep, gene, steps,
+                          lambda alpha: {"features": alpha * x_full},
+                          lambda res, kwargs: res.x.grad)
+    return AttributionMatrix(gene, x_full * grads, baseline="zero", steps=steps)
 
 
 def ig_meta_edges(params: ModelParams, cfg: GnnConfig, dataset: MultilayerDataset,
                   gene: int, steps: int = 64, scope: str = "target",
                   prep: PreparedModel = None) -> MetaEdgeAttribution:
     """Per-layer meta-edge attributions with node features held fixed."""
+    weights = params.constants()
     if scope not in ("target", "global"):
         raise ValueError(f"scope must be 'target' or 'global', got {scope!r}")
-    _check_params(params)
     _check_gene(dataset, gene)
     if prep is None:
         prep = prepare(cfg, dataset)
     cm = prep.compiled_meta
     edge_idx = cm.cross_edge_indices(gene)
-    layer_names = tuple(
-        prep.layer_names[pos] for pos in cm.layer_of_edge[edge_idx]
-    )
     if edge_idx.size == 0:
         return MetaEdgeAttribution(gene, (), np.zeros(0), steps, no_incoming=True)
+    layer_names = tuple(prep.layer_names[pos] for pos in cm.layer_of_edge[edge_idx])
 
-    weights = params.constants()
-    # target scope moves only meta edges: the encoder's stack is the same at every step
-    stack = encode(weights, cfg, prep)[2] if scope == "target" else None
-    grad_sum = np.zeros(edge_idx.size)
-    for alpha in _midpoints(steps):
-        mult = np.ones((cm.structure.n_edges, 1))
-        if scope == "target":
-            mult[edge_idx, 0] = alpha
-        else:
-            mult[cm.is_cross, 0] = alpha
-        mult_var = ad.variable(mult, name="meta_edge_multiplier")
+    # the edges each step scales to alpha; every other edge keeps weight 1
+    layer_masks, stack = {}, None
+    if scope == "target":
+        meta_mask = np.zeros((cm.structure.n_edges, 1), dtype=bool)
+        meta_mask[edge_idx] = True
+        # only meta edges move: the encoder's stack is the same at every step
+        stack = encode(weights, cfg, prep)[2]
+    else:
+        meta_mask = cm.is_cross[:, None]
+        layer_masks = {name: (s.dst != s.src)[:, None]
+                       for name, s in zip(prep.layer_names, prep.structures)}
 
-        layer_mults = None
-        if scope == "global":
-            layer_mults = {}
-            for name, structure in zip(prep.layer_names, prep.structures):
-                lm = np.ones((structure.n_edges, 1))
-                lm[structure.dst != structure.src, 0] = alpha
-                layer_mults[name] = ad.constant(lm)
+    def step_kwargs(alpha):
+        mult = ad.variable(np.where(meta_mask, alpha, 1.0), name="meta_edge_multiplier")
+        layer_mults = {name: ad.constant(np.where(mask, alpha, 1.0))
+                       for name, mask in layer_masks.items()}
+        return {"meta_multiplier": mult, "layer_multipliers": layer_mults or None, "stack": stack}
 
-        res = run_model(weights, cfg, prep, meta_multiplier=mult_var,
-                        layer_multipliers=layer_mults, stack=stack)
-        target = ad.row_gather(res.logits, [gene])
-        ad.backward(target)
-        if mult_var.grad is not None:
-            grad_sum += mult_var.grad[edge_idx, 0]
-    return MetaEdgeAttribution(gene, layer_names, grad_sum / steps, steps)
+    raw = _path_average(weights, cfg, prep, gene, steps, step_kwargs,
+                        lambda res, kwargs: kwargs["meta_multiplier"].grad[edge_idx, 0])
+    return MetaEdgeAttribution(gene, layer_names, raw, steps)
 
 
 def neighbor_importance(attr: AttributionMatrix):

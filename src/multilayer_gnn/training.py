@@ -72,39 +72,37 @@ def stratified_split(labels: LabelSet, dataset: MultilayerDataset, test_layer: s
     """
     lg = dataset.layer_by_name(test_layer)
     rng = np.random.default_rng(seed)
+    ids = labels.labeled_ids()
+    y = np.array([labels.labels[g] for g in ids.tolist()], dtype=np.intp)
+    inside = np.isin(ids, lg.node_ids)
 
-    test_ids, pool = [], []
+    test = np.zeros(ids.size, dtype=bool)
     for cls in (POSITIVE, 1 - POSITIVE):
-        members = sorted(
-            g for g, y in labels.labels.items() if y == cls and lg.contains(g)
-        )
-        if not members:
+        members = np.flatnonzero(inside & (y == cls))
+        if not members.size:
             raise DataError(
                 f"class {cls} has no labeled genes in test layer {test_layer!r}"
             )
-        members = list(np.asarray(members)[rng.permutation(len(members))])
-        n_test = _floor_frac(test_frac, len(members))
-        test_ids.extend(int(g) for g in members[:n_test])
-        pool.extend(int(g) for g in members[n_test:])
+        members = members[rng.permutation(members.size)]
+        test[members[:_floor_frac(test_frac, members.size)]] = True
 
-    outside = sorted(g for g in labels.labels if not lg.contains(g))
-    pool.extend(outside)
-
-    test_set = set(test_ids)
+    # the pool: the test layer's kept genes plus every labeled gene outside it
     train_ids, val_ids = [], []
     for cls in (POSITIVE, 1 - POSITIVE):
-        members = sorted(g for g in pool if labels.labels[g] == cls)
-        members = list(np.asarray(members)[rng.permutation(len(members))]) if members else []
-        n_val = _floor_frac(val_frac_of_rest, len(members))
-        val_ids.extend(int(g) for g in members[:n_val])
-        train_ids.extend(int(g) for g in members[n_val:])
+        members = ids[~test & (y == cls)]
+        if members.size:
+            members = members[rng.permutation(members.size)]
+        n_val = _floor_frac(val_frac_of_rest, members.size)
+        val_ids.extend(members[:n_val].tolist())
+        train_ids.extend(members[n_val:].tolist())
 
+    test_set = set(ids[test].tolist())
     if test_set & set(train_ids) or test_set & set(val_ids):
         raise DataError("split invariant broken: a test gene reached train or validation")
     if test_set | set(train_ids) | set(val_ids) != set(labels.labels):
         raise DataError("split invariant broken: the split does not cover the labeled genes")
     return SplitSpec(
-        test_layer, tuple(sorted(test_ids)), tuple(sorted(train_ids)),
+        test_layer, tuple(sorted(test_set)), tuple(sorted(train_ids)),
         tuple(sorted(val_ids)), seed,
     )
 

@@ -737,6 +737,18 @@ class TestMalformedRankedJson:
         assert "Traceback" not in err
 
 
+    def test_gsea_duplicate_gene_names_the_entry(self, ws, tmp_path, capsys):
+        bad = tmp_path / "explain_G0000.json"
+        entries = [{"gene": g, "importance": v} for g, v in
+                   (("G0001", 0.5), ("G0002", 0.4), ("G0001", 0.3))]
+        bad.write_text(json.dumps({"gene": "G0000", "top_neighbors": entries}))
+        assert run("gsea", "--ranked", bad, "--gene-sets", ws["data"] / "gene_sets.gmt",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: duplicate gene 'G0001' in 'top_neighbors[2].gene'" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedRankingCsv:
     @pytest.mark.parametrize("row, shown", [
         ("G0002,nan", "score must be a finite number, got 'nan'"),

@@ -255,6 +255,67 @@ class TestIgAgainstReference:
         assert len(calls) == encodes
 
 
+def one_gene_outside_toy():
+    """Four genes, one network; gene 3 is in no network, so it has no
+    incoming meta edges."""
+    ds = build_dataset(n=4, d=2, layer_edges=[[(0, 1), (1, 2)]], layer_nodes=[[0, 1, 2]])
+    cfg = gnn.GnnConfig(encoder_layers=1, hidden_dim=3, meta_hidden_dim=3)
+    return ds, cfg, gnn.init_params(cfg, 2, seed=4)
+
+
+IG_CALLS = {
+    "features": lambda p, cfg, ds, gene, steps: ex.ig_node_features(p, cfg, ds, gene, steps),
+    "target": lambda p, cfg, ds, gene, steps: ex.ig_meta_edges(p, cfg, ds, gene, steps),
+    "global": lambda p, cfg, ds, gene, steps: ex.ig_meta_edges(p, cfg, ds, gene, steps,
+                                                               scope="global"),
+}
+
+
+class TestIgContracts:
+    """Each IG step is one call of the module's ``run_model`` binding, which
+    step timers wrap; a non-finite parameter is named by the tape's check."""
+
+    @pytest.fixture
+    def run_model_calls(self, monkeypatch):
+        calls = []
+        original = ex.run_model
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "run_model", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", sorted(IG_CALLS))
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_one_run_model_call_per_step(self, run_model_calls, mode, steps):
+        ds, cfg, params = three_layer_toy("gcn", 2, 1)
+        IG_CALLS[mode](params, cfg, ds, 1, steps)
+        assert len(run_model_calls) == steps
+
+    def test_logit_spans_runs_the_model_twice(self, run_model_calls):
+        ds, cfg, params = three_layer_toy("gcn", 2, 1)
+        ex.logit_spans(params, cfg, gnn.prepare(cfg, ds))
+        assert len(run_model_calls) == 2
+
+    @pytest.mark.parametrize("name", ["enc0.w", "xproj.w", "meta0.w", "head.w2"])
+    @pytest.mark.parametrize("call", ["features", "target", "global", "no-incoming",
+                                      "logit_spans"])
+    def test_nan_parameter_named(self, name, call):
+        ds, cfg, params = one_gene_outside_toy()
+        tensor = dict(params.named())[name]
+        tensor.data = tensor.data.copy()
+        tensor.data[0, 0] = np.nan
+        with pytest.raises(NumericError, match=f"non-finite values produced by {name}$"):
+            if call == "logit_spans":
+                ex.logit_spans(params, cfg, gnn.prepare(cfg, ds))
+            elif call == "no-incoming":
+                ex.ig_meta_edges(params, cfg, ds, 3, steps=2)
+            else:
+                IG_CALLS[call](params, cfg, ds, 1, 2)
+
+
 class TestNeighborImportance:
     def test_row_max(self):
         attr = ex.AttributionMatrix(0, np.array([[0.2, -0.5, 0.1], [0.0, 0.0, 0.0]]), "zero", 4)

@@ -1,17 +1,23 @@
-"""Fuzzed input to the two CSV readers: the feature matrix and the ranking CSV.
+"""Fuzzed input to the text readers: the feature matrix and ranking CSVs, the
+tab-separated layer edge lists, labels and GMT gene sets, and the explain
+JSON that ``mgnn gsea --ranked`` reads.
 
-Any bytes either load or raise a DataError naming the file; a features file
-with injected defects reports the first one in file order.
+Any bytes either load or raise a DataError naming the file (through the
+command line: exit 0 or 2, never a traceback); a features file with
+injected defects reports the first one in file order.
 """
 
+import contextlib
 import csv
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multilayer_gnn import analysis as an
+from multilayer_gnn import cli
 from multilayer_gnn import data as dm
 from multilayer_gnn.errors import DataError
 
@@ -134,3 +140,95 @@ def test_first_defect_in_file_order_is_reported(fuzz_dir, case):
         dm.load_feature_matrix(str(path), dm.GeneCatalog(genes))
     assert err.value.line == line
     assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+TSV_TOKENS = ["A", "B", "C", "Z", "set1", "desc", "\t", "\t", "\t", " ", "\n", "\r\n", "\r", "#",
+              "", "0", "1", "2", "-1", "yes", "\xe9", "\x00", "\ufeff"]
+JSON_TOKENS = ["{", "}", "[", "]", ":", ",", '"top_neighbors"', '"gene"', '"importance"', '"A"',
+               '"B"', '""', "0", "1", "-2.5", "1e999", "NaN", "Infinity", "null", "true", " ",
+               '"\\ud800"', "\xe9", "\x00"]
+
+
+def token_bytes(tokens):
+    return st.lists(st.sampled_from(tokens), max_size=40).map(lambda t: "".join(t).encode())
+
+
+def with_noise(text_like):
+    return st.binary(max_size=80) | text_like | st.tuples(
+        text_like, st.binary(max_size=3), text_like).map(b"".join)
+
+
+tsv_bytes = with_noise(token_bytes(TSV_TOKENS))
+
+json_leaf = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+             | st.sampled_from(["A", "B", "C", "", " ", "\x00"]))
+json_value = st.recursive(json_leaf, lambda inner: (
+    st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["gene", "importance", "top_neighbors", "x"]), inner,
+                      max_size=3)), max_leaves=10)
+good_neighbor = st.fixed_dictionaries(
+    {"gene": st.sampled_from(["A", "B", "C", "Z"]), "importance": st.floats(-2, 2)})
+neighbor = good_neighbor | st.dictionaries(st.sampled_from(["gene", "importance", "x"]),
+                                           st.sampled_from(["A", "B", "C", ""]) | json_value,
+                                           max_size=3)
+explain_json = st.fixed_dictionaries(
+    {"top_neighbors": st.lists(good_neighbor, min_size=1, max_size=3)
+     | st.lists(neighbor, max_size=4) | json_value},
+    optional={"gene": json_value}).map(lambda d: json.dumps(d).encode())
+json_bytes = with_noise(token_bytes(JSON_TOKENS)) | explain_json
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=tsv_bytes)
+def test_any_layer_bytes_load_or_name_the_file(fuzz_dir, raw):
+    loads_or_names_the_file(lambda p: dm.load_layer_graph(p, dm.GeneCatalog(["A", "B", "C"]), "L"),
+                            fuzz_dir / "layer.tsv", raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=tsv_bytes)
+def test_any_label_bytes_load_or_name_the_file(fuzz_dir, raw):
+    loads_or_names_the_file(lambda p: dm.load_labels(p, dm.GeneCatalog(["A", "B", "C"])),
+                            fuzz_dir / "labels.tsv", raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=tsv_bytes)
+def test_any_gene_set_bytes_load_or_name_the_file(fuzz_dir, raw):
+    loads_or_names_the_file(dm.load_gene_sets, fuzz_dir / "sets.gmt", raw)
+
+
+@pytest.fixture(scope="module")
+def gene_sets(fuzz_dir):
+    path = fuzz_dir / "gsea_sets.gmt"
+    path.write_text("S1\tdesc\tA\tB\tC\tZ\nS2\tdesc\tC\n")  # S1 meets every ranking
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=json_bytes)
+def test_any_explain_json_bytes_exit_0_or_2_naming_the_file(fuzz_dir, gene_sets, raw):
+    path = fuzz_dir / "explain_A.json"
+    path.write_bytes(raw)
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = cli.main(["gsea", "--ranked", str(path), "--gene-sets", str(gene_sets),
+                         "--permutations", "2", "--out", str(fuzz_dir / "gsea")])
+    err = stderr.getvalue()
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"error: {path}: " in err
+
+
+@pytest.mark.parametrize("command", ["gsea", "train"])
+def test_json_nested_too_deep_names_the_file(tmp_path, gene_sets, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    if command == "gsea":
+        argv, code = ["gsea", "--ranked", path, "--gene-sets", gene_sets], 2
+    else:
+        argv, code = ["train", "--config", path], 1
+    assert cli.main([str(a) for a in argv + ["--out", tmp_path / "out"]]) == code
+    err = capsys.readouterr().err
+    assert f"error: {path}: not valid JSON" in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Split, optimizer, AUPRC, training-loop, and checkpoint tests."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from multilayer_gnn import autodiff as ad
 from multilayer_gnn import data as dm
 from multilayer_gnn import gnn
+from multilayer_gnn import synth
 from multilayer_gnn import training as tr
 from multilayer_gnn.errors import CheckpointError, DataError, NumericError
 
@@ -78,6 +81,69 @@ class TestStratifiedSplit:
         ds = split_dataset()
         split = tr.stratified_split(ds.labels, ds, "T", seed=5)
         assert tr.SplitSpec.from_dict(split.as_dict()) == split
+
+
+def scrambled_split_dataset(n_in, n_out, missing_every):
+    """Labels inserted in a scrambled order: genes below ``n_in`` whose id is
+    0 mod 3 are positive, every other gene negative, and every gene whose id
+    is 6 mod 7 unlabeled. Layer "T" holds genes below ``n_in`` except every
+    ``missing_every``-th one (none when 0); layer "U" holds all the rest."""
+    n = n_in + n_out
+    catalog = dm.GeneCatalog([f"G{i}" for i in range(n)])
+    in_t = [g for g in range(n) if g < n_in and (missing_every == 0 or g % missing_every)]
+    out_t = sorted(set(range(n)) - set(in_t))
+    layers = [dm.LayerGraph("T", in_t, np.array([(in_t[0], in_t[1])])),
+              dm.LayerGraph("U", out_t, np.array([(out_t[0], out_t[1])]))]
+    order = np.random.default_rng(n).permutation(n)
+    labels = dm.LabelSet({int(g): int(g % 3 == 0 and g < n_in) for g in order if g % 7 != 6})
+    fm = dm.FeatureMatrix(np.zeros((n, 1)), ["f0"])
+    return dm.MultilayerDataset(catalog, layers, fm, labels)
+
+
+def split_digest(split):
+    return hashlib.sha256(json.dumps(split.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestSplitGolden:
+    """Splits pinned by the sha256 of their ``as_dict()``, so that any change
+    to how the split is computed must keep every id list and draw order."""
+
+    PLANTED = {
+        (1, "L0"): "2203fe7b2ca6e799658d7b61d9bce18369c699e5490fb451fd8ec07096c63c10",
+        (1, "L1"): "187fb94dcabe7567fabc06f6f97a2d5ac666d90c9f0412d5d3b97e73a2b81710",
+        (1, "L2"): "26c8a0b96756602c92bb586fce1e9bb617e541f91db2c4f1e7971ac2a22899ac",
+        (2, "L0"): "2a3e079ccc5cc66258d55e3591c08b3ad3c3a089b658368a67c356d13a9f911c",
+        (2, "L1"): "b36a1e7173afb9d57c2481b6d107d65325753414dccc0b57fcf72ef173283beb",
+        (2, "L2"): "9583f8bec8ca8467a91f7f5dbc52ab3f6e11cbd97269a569488bf165dc16bd74",
+        (3, "L0"): "45443e5d6c753853671bfeb7a7ffd281d6187e2244c8f3d41ac1a4748c3c23b7",
+        (3, "L1"): "a04675a7d4e56781d944c4a45b331deb563144dbff2e26eaf3e4409419fef63d",
+        (3, "L2"): "5c96278db8a612aad411b4ae51708ba69b1095424b29f64b7e46b48aea169244",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted(self, seed):
+        ds, _ = synth.planted_dataset(n_genes=400, n_layers=3, n_features=8, seed=seed)
+        for layer in ds.layers:
+            split = tr.stratified_split(ds.labels, ds, layer.layer_name, seed=seed)
+            assert split_digest(split) == self.PLANTED[seed, layer.layer_name]
+
+    @pytest.mark.parametrize("shape,kwargs,sizes,digest", [
+        ((60, 20, 4), dict(seed=0), (9, 55, 5),
+         "91a335e1735218500283944e0f94544d1197eb138d9e5b3f28c1e08760d206b4"),
+        ((60, 20, 4), dict(val_frac_of_rest=0.0, seed=5), (9, 60, 0),
+         "f6372f001e797ee9bee1bcd0f747c842616fe1653292bf4f7226ecd87bf045aa"),
+        ((60, 20, 4), dict(test_frac=1.0, seed=6), (39, 28, 2),
+         "3e1d0f47ca25e7518d7ca7ad1708797f27a95da4b78f0c9e8e792645143f2f65"),
+        # every test-layer gene goes to test and the genes outside are all
+        # negative: the positive pool is empty and draws nothing
+        ((40, 6, 0), dict(test_frac=1.0, val_frac_of_rest=0.5, seed=7), (35, 3, 2),
+         "62bf6ec84bb6cefead9db25521522971f01d94e3369c9899bec9d7666c2e7929"),
+    ], ids=["missing-genes", "no-validation", "all-test", "empty-positive-pool"])
+    def test_hand_built(self, shape, kwargs, sizes, digest):
+        ds = scrambled_split_dataset(*shape)
+        split = tr.stratified_split(ds.labels, ds, "T", **kwargs)
+        assert (len(split.test_ids), len(split.train_ids), len(split.val_ids)) == sizes
+        assert split_digest(split) == digest
 
 
 class TestAdam:
