@@ -114,11 +114,28 @@ def _op(data, parents, backward_fn, name) -> Tensor:
     return Tensor(data, _parents=parents, _backward=backward_fn, name=name)
 
 
+def _padded(arr: np.ndarray, first_row: int) -> np.ndarray:
+    """``arr`` below ``first_row`` zero rows (``arr`` itself when there are none)."""
+    if not first_row:
+        return arr
+    out = np.zeros((first_row + arr.shape[0], arr.shape[1]))
+    out[first_row:] = arr
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, first_row: int = 0) -> Tensor:
+    """``a @ b``.
+
+    With ``first_row`` k, ``a`` holds rows ``k:`` of a taller operand whose
+    first k rows nothing reads. ``b``'s gradient is then ``a.T @ g`` with both
+    zero-padded back to ``k + a.rows`` rows: BLAS may order a shorter sum
+    differently, and so change its bits, while the padded one sums the same
+    nonzero terms as the product over every row.
+    """
     if a.cols != b.rows:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out_data = a.data @ b.data
@@ -128,7 +145,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.needs_grad:
             _accum(a, g @ b.data.T)
         if b.needs_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, _padded(a.data, first_row).T @ _padded(g, first_row))
 
     out = _op(out_data, (a, b), backward_fn, "matmul")
     return out
@@ -311,29 +328,40 @@ class SparseWeighted:
         self.weights = weights
 
 
-def spmm(adj: SparseWeighted, h: Tensor) -> Tensor:
-    """Weighted neighborhood sum: out[u] = sum over edges (u <- v) of w_uv * h[v].
+def spmm(adj: SparseWeighted, h: Tensor, first_row: int = 0) -> Tensor:
+    """Weighted neighborhood sum: out[u] = sum over edges (u <- v) of w_uv * h[v],
+    for the destination rows ``u >= first_row``.
 
     The CSR matrix is built per call over the structure's index arrays and a
-    view of the weights, so nothing is copied and no buffer is shared. Each
-    output row accumulates in ascending source order (CSR storage order);
-    the feature gradient runs the transpose over the same arrays, so each of
-    its rows accumulates in ascending destination order, duplicate edges in
-    input order. Evaluation is deterministic either way.
+    view of the weights, so no weight or column index is copied and no buffer
+    is shared. With ``first_row`` it is the contiguous suffix of those arrays
+    holding the edges into rows ``first_row:``. Each output row accumulates in ascending
+    source order (CSR storage order), so it equals that row of the full sum
+    bit for bit. The feature gradient runs the transpose over the same
+    arrays, so each of its rows accumulates in ascending destination order,
+    duplicate edges in input order; the edge-weight gradient is zero on the
+    edges into rows before ``first_row``. Evaluation is deterministic either
+    way.
     """
     s = adj.structure
     w = adj.weights
     if h.rows != s.n_src:
         raise ValueError(f"spmm shape mismatch: {s.n_src} source nodes vs {h.rows} rows")
-    mat = sp.csr_matrix((w.data[:, 0], s._mat.indices, s._mat.indptr), shape=s._mat.shape)
+    if not 0 <= first_row <= s.n_dst:
+        raise ValueError(f"first row {first_row} out of range for {s.n_dst} destinations")
+    indptr = s._mat.indptr[first_row:]
+    lo = int(indptr[0])  # edges into the skipped rows
+    mat = sp.csr_matrix((w.data[lo:, 0], s._mat.indices[lo:], indptr - lo),
+                        shape=(s.n_dst - first_row, s.n_src))
     out_data = mat @ h.data
 
     def backward_fn(out):
         if h.needs_grad:
             _accum(h, mat.T @ out.grad)
         if w.needs_grad:
-            gw = (out.grad[s.dst] * h.data[s.src]).sum(axis=1, keepdims=True)
-            _accum(w, gw)
+            g_dst = out.grad[s.dst[lo:] - first_row]
+            gw = (g_dst * h.data[s.src[lo:]]).sum(axis=1, keepdims=True)
+            _accum(w, _padded(gw, lo))
 
     return _op(out_data, (w, h), backward_fn, "spmm")
 

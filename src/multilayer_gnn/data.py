@@ -282,12 +282,16 @@ def _data_lines(path):
 
 
 def _two_columns(line, path, lineno):
-    """Split on the tab if the line has exactly one, else on whitespace."""
+    """Split on the tab if the line has exactly one, else on whitespace. A
+    field that is empty or only whitespace is an error; other spaces stay."""
     fields = line.split("\t")
     if len(fields) != 2:
         fields = line.split()
     if len(fields) != 2:
         raise DataError(f"expected 2 columns, got {len(fields)}", path=path, line=lineno)
+    for col, field in enumerate(fields, start=1):
+        if not field.strip():
+            raise DataError(f"empty field {field!r} (column {col})", path=path, line=lineno)
     return fields
 
 

@@ -158,8 +158,10 @@ def gat_structure(layer: LayerGraph) -> ad.EdgeStructure:
     return _directed_with_self_loops(layer)
 
 
-def gcn_layer(h: ad.Tensor, norm_adj: ad.SparseWeighted, w: ad.Tensor) -> ad.Tensor:
-    return ad.matmul(ad.spmm(norm_adj, h), w)
+def gcn_layer(h: ad.Tensor, norm_adj: ad.SparseWeighted, w: ad.Tensor,
+              first_row: int = 0) -> ad.Tensor:
+    """Rows ``first_row:`` of ``A h W``; only those rows are computed."""
+    return ad.matmul(ad.spmm(norm_adj, h, first_row), w, first_row)
 
 
 def _gat_on_structure(h, structure, w, a, slope, multiplier=None):
@@ -186,7 +188,8 @@ def gat_layer(h: ad.Tensor, layer: LayerGraph, w: ad.Tensor, a: ad.Tensor,
     return _gat_on_structure(h, gat_structure(layer), w, a, slope)
 
 
-def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None, spread=None):
+def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None, spread=None,
+               first_row=0):
     """One stack of message-passing layers over one graph, relu between them.
 
     GCN layers weight the edges by ``base_weights``, GAT layers by their
@@ -195,17 +198,26 @@ def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None, sprea
     layer's neighborhood sum of ``h`` over ``base_weights``, already
     computed. The encoder runs this over each layer graph and the meta stage
     over the star forest.
+
+    The result is rows ``first_row:`` of the last layer. A GCN computes only
+    those rows there; a GAT computes every row, since its attention reads
+    ``W h`` at every source, and gathers them. Only the meta stage passes
+    ``first_row`` and only the encoder passes ``spread``.
     """
+    last = len(ws) - 1
     for l, w in enumerate(ws):
         if cfg.arch == GCN and l == 0 and spread is not None:
             h = ad.matmul(spread, w)
         elif cfg.arch == GCN:
             weights = base_weights if multiplier is None else ad.mul(base_weights, multiplier)
-            h = gcn_layer(h, ad.SparseWeighted(structure, weights), w)
+            h = gcn_layer(h, ad.SparseWeighted(structure, weights), w,
+                          first_row if l == last else 0)
         else:
             h = _gat_on_structure(h, structure, w, attn[l], cfg.leaky_slope, multiplier)
-        if l < len(ws) - 1:
+        if l < last:
             h = ad.relu(h)
+    if first_row and cfg.arch == GAT:
+        h = ad.row_gather(h, np.arange(first_row, structure.n_dst))
     return h
 
 
@@ -247,7 +259,9 @@ class _CompiledMeta:
     """Flattened star forest over (all layer copies + all meta nodes).
 
     Copies keep a weight-1 self edge so stacked meta layers stay defined;
-    meta nodes use dhat = (number of incoming copies) + 1.
+    meta nodes use dhat = (number of incoming copies) + 1. The meta nodes are
+    the last ``n_genes`` rows, from ``meta_base`` on, so the edges into them
+    are the last edges in structure order.
     """
 
     def __init__(self, meta: MetaGraph, layer_sizes, n_genes):
@@ -255,7 +269,7 @@ class _CompiledMeta:
         self.copy_offsets = offsets[:-1]
         self.meta_base = int(offsets[-1])
         self.n_nodes = self.meta_base + n_genes
-        self.meta_rows = np.arange(self.meta_base, self.n_nodes, dtype=np.intp)
+        meta_rows = np.arange(self.meta_base, self.n_nodes, dtype=np.intp)
 
         # edges in input order: every copy's self edge, then per gene its
         # meta self edge followed by one edge from each of its copies in
@@ -263,7 +277,7 @@ class _CompiledMeta:
         copies = np.arange(self.meta_base, dtype=np.intp)
         by_gene = np.argsort(meta.copy_gene, kind="stable")
         m = meta.incoming
-        star = np.repeat(self.meta_rows, m + 1)
+        star = np.repeat(meta_rows, m + 1)
         star_m = np.repeat(m, m + 1)
         is_self = np.zeros(star.size, dtype=bool)
         is_self[np.arange(n_genes) + np.cumsum(m) - m] = True
@@ -409,10 +423,8 @@ def run_model(params: ModelParams, cfg: GnnConfig, prep: PreparedModel,
         x = per_layer = None
 
     cm = prep.compiled_meta
-    h = _propagate(
-        stack, cm.structure, cm.base_weights, params.meta_w, params.meta_a, cfg, meta_multiplier
-    )
-    h_meta = ad.row_gather(h, cm.meta_rows)
+    h_meta = _propagate(stack, cm.structure, cm.base_weights, params.meta_w, params.meta_a, cfg,
+                        meta_multiplier, first_row=cm.meta_base)
     return ModelRun(head_logits(params, h_meta), x, h_meta, per_layer)
 
 

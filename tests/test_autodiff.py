@@ -156,6 +156,94 @@ class TestSpmm:
         assert grad_err(h.grad, fd_grad(loss_h, h0)) < 1e-6
 
 
+@st.composite
+def _suffix_cases(draw):
+    """An edge list, a feature width and a first row in [0, n_dst]."""
+    n_dst, n_src, dst, src = draw(_edge_lists())
+    return n_dst, n_src, dst, src, draw(st.integers(1, 3)), draw(st.integers(0, n_dst))
+
+
+class TestRowSuffix:
+    """``spmm``, ``matmul`` and ``gcn_layer`` computing rows ``first_row:`` only."""
+
+    @pytest.mark.parametrize("first_row", [1, 3, 5])
+    def test_fd_features_edge_weights_and_weight(self, first_row):
+        rng = np.random.default_rng(first_row)
+        n, d_in, d_out = 6, 3, 4
+        s = random_structure(rng, n)
+        h0 = rng.standard_normal((n, d_in))
+        ew0 = rng.standard_normal((s.n_edges, 1))
+        w0 = rng.standard_normal((d_in, d_out))
+        g0 = rng.standard_normal((n - first_row, d_out))
+
+        def build(h_data, ew_data, w_data):
+            h, ew, w = ad.variable(h_data), ad.variable(ew_data), ad.variable(w_data)
+            agg = ad.spmm(ad.SparseWeighted(s, ew), h, first_row)
+            out = ad.matmul(agg, w, first_row)
+            assert out.shape == (n - first_row, d_out)
+            return scalar_sum(ad.mul(out, ad.constant(g0))), h, ew, w
+
+        loss, h, ew, w = build(h0, ew0, w0)
+        ad.backward(loss)
+        for var, v0, pos in ((h, h0, 0), (ew, ew0, 1), (w, w0, 2)):
+            def f(val, _pos=pos):
+                args = [h0, ew0, w0]
+                args[_pos] = val
+                return build(*args)[0].data[0, 0]
+
+            assert grad_err(var.grad, fd_grad(f, v0)) < 1e-6
+        skipped = s.dst < first_row
+        assert skipped.any() and (ew.grad[skipped] == 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_suffix_cases(), st.integers(0, 2**32 - 1))
+    def test_spmm_equals_full_sum_then_gather_bit_for_bit(self, case, seed):
+        n_dst, n_src, dst, src, d, first_row = case
+        rng = np.random.default_rng(seed)
+        s = ad.EdgeStructure(n_dst, n_src, np.array(dst, dtype=int), np.array(src, dtype=int))
+        w0 = rng.standard_normal((s.n_edges, 1))
+        h0 = rng.standard_normal((n_src, d))
+        g0 = rng.standard_normal((n_dst - first_row, d))
+
+        def run(suffix):
+            w, h = ad.variable(w0), ad.variable(h0)
+            adj = ad.SparseWeighted(s, w)
+            if suffix:
+                out = ad.spmm(adj, h, first_row)
+            else:
+                out = ad.row_gather(ad.spmm(adj, h), np.arange(first_row, n_dst))
+            grads = ad.backward(scalar_sum(ad.mul(out, ad.constant(g0))), [w, h])
+            return out.data, grads[h], grads[w]
+
+        for got, want in zip(run(True), run(False)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_spmm_first_row_out_of_range(self):
+        s = ad.EdgeStructure(2, 2, np.array([0, 1]), np.array([1, 0]))
+        adj = ad.SparseWeighted(s, ad.constant(np.ones((2, 1))))
+        for first_row in (-1, 3):
+            with pytest.raises(ValueError, match="first row"):
+                ad.spmm(adj, ad.constant(np.ones((2, 1))), first_row)
+
+    @pytest.mark.parametrize("n, first_row", [(8000, 6000), (600, 450), (1000, 100)])
+    def test_padded_weight_gradient_equals_full_one_64_to_64(self, n, first_row):
+        rng = np.random.default_rng(n)
+        a0 = rng.standard_normal((n, 64))
+        w0 = rng.standard_normal((64, 64))
+        g0 = rng.standard_normal((n - first_row, 64))
+
+        def weight_grad(suffix):
+            a, w = ad.constant(a0), ad.variable(w0)
+            if suffix:
+                out = ad.matmul(ad.row_gather(a, np.arange(first_row, n)), w, first_row)
+            else:
+                out = ad.row_gather(ad.matmul(a, w), np.arange(first_row, n))
+            return ad.backward(scalar_sum(ad.mul(out, ad.constant(g0))), [w])[w]
+
+        assert weight_grad(True).tobytes() == weight_grad(False).tobytes()
+
+
 class TestNeighborSoftmax:
     def test_singleton_group(self):
         s = ad.EdgeStructure(1, 1, np.array([0]), np.array([0]))

@@ -98,6 +98,30 @@ class TestIngest:
         assert "training.seed" in capsys.readouterr().err
 
 
+class TestEmptyGeneName:
+    @pytest.mark.parametrize("key, text, where", [
+        ("layers", "G0001\tG0002\nG0003\t\n", ":2: empty field '' (column 2)"),
+        ("layers", "\tG0002\n", ":1: empty field '' (column 1)"),
+        ("labels", "G0001\t1\nG0002\t \n", ":2: empty field ' ' (column 2)"),
+    ])
+    def test_train_exits_2_naming_file_line_and_column(self, ws, tmp_path, capsys,
+                                                        key, text, where):
+        cfg = json.loads(ws["config"].read_text())
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        if key == "layers":
+            cfg["paths"]["layers"][0]["path"] = str(bad)
+        else:
+            cfg["paths"]["labels"] = str(bad)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "--config", cfg_path) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}{where}" in err
+        assert "Traceback" not in err
+
+
 class TestTrain:
     def test_outputs_present(self, ws):
         for name in ("checkpoint.bin", "report.json", "split.json",

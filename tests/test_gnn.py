@@ -505,3 +505,56 @@ class TestPrecomputedStack:
         value = ds.features.values if given == "features" else {}
         with pytest.raises(ValueError, match="precomputed stack"):
             gnn.run_model(params, cfg, prep, stack=stack, **{given: value})
+
+
+class TestMetaRowSuffix:
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_last_meta_matmul_rows(self, arch, meta_layers, monkeypatch):
+        """GCN runs its last meta matmul on the meta rows alone, GAT on every row."""
+        ds = build_dataset()
+        cfg = gnn.GnnConfig(arch=arch, encoder_layers=2, hidden_dim=4,
+                            meta_layers=meta_layers, meta_hidden_dim=4)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=2)
+        prep = gnn.prepare(cfg, ds)
+        rows, original = {}, ad.matmul
+
+        def spy(a, b, *args):
+            rows.setdefault(id(b), []).append(a.rows)
+            return original(a, b, *args)
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        res = gnn.run_model(params, cfg, prep)
+        n_nodes = prep.compiled_meta.n_nodes
+        assert rows[id(params.meta_w[-1])] == [ds.n_genes if arch == "gcn" else n_nodes]
+        assert [rows[id(w)] for w in params.meta_w[:-1]] == [[n_nodes]] * (meta_layers - 1)
+        assert res.h_meta.shape == (ds.n_genes, 4)
+
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_gcn_equals_every_row_then_gather_at_64_wide(self, meta_layers):
+        """At the default widths the meta-row pass gives the logits and every
+        gradient of the every-row pass followed by a gather, bit for bit."""
+        ds = build_dataset(n=50, d=64, layer_edges=[
+            [(i, (7 * i + 3) % 50) for i in range(50)],
+            [(i, (11 * i + 5) % 50) for i in range(0, 50, 2)],
+            [(i, i + 1) for i in range(30)],
+        ], labels={i: i % 2 for i in range(20)})
+        cfg = gnn.GnnConfig(encoder_layers=2, meta_layers=meta_layers)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=7)
+        prep = gnn.prepare(cfg, ds)
+        cm = prep.compiled_meta
+        stack = gnn.encode(params, cfg, prep)[2]
+        multiplier = ad.variable(np.linspace(0.5, 1.5, cm.structure.n_edges)[:, None])
+
+        def run(suffix):
+            h = gnn._propagate(stack, cm.structure, cm.base_weights, params.meta_w,
+                               params.meta_a, cfg, multiplier,
+                               first_row=cm.meta_base if suffix else 0)
+            if not suffix:
+                h = ad.row_gather(h, np.arange(cm.meta_base, cm.n_nodes))
+            logits = gnn.head_logits(params, h)
+            grads = ad.backward(ad.row_gather(logits, [3]), params.tensors() + [multiplier])
+            return [logits.data.tobytes(), grads[multiplier].tobytes()] + [
+                grads[t].tobytes() for t in params.tensors()]
+
+        assert run(True) == run(False)

@@ -63,6 +63,37 @@ class TestEdgeListSyntax:
             dm.load_layer_graph(path, dm.GeneCatalog(), "L")
 
 
+class TestEmptyNames:
+    """A two-column line whose field is empty or only whitespace names the
+    file, the line and the column; other spaces in a name stay."""
+
+    CASES = [("A\t", "''", 2), ("A\t ", "' '", 2), ("\tB", "''", 1), (" \tB", "' '", 1)]
+
+    @pytest.mark.parametrize("line, shown, col", CASES)
+    def test_edge_list(self, tmp_path, line, shown, col):
+        path = write(tmp_path, "e.tsv", f"X\tY\n# c\n{line}\r\nY\tZ\n")
+        catalog = dm.GeneCatalog()
+        with pytest.raises(DataError) as err:
+            dm.load_layer_graph(path, catalog, "L")
+        assert str(err.value) == f"{path}:3: empty field {shown} (column {col})"
+        assert catalog.names == []
+
+    @pytest.mark.parametrize("line, shown, col", [("A\t", "''", 2), ("\t1", "''", 1),
+                                                  ("A\t ", "' '", 2)])
+    def test_labels(self, tmp_path, line, shown, col):
+        path = write(tmp_path, "l.tsv", f"B\t0\n{line}\n")
+        with pytest.raises(DataError) as err:
+            dm.load_labels(path, dm.GeneCatalog(["A", "B"]))
+        assert str(err.value) == f"{path}:2: empty field {shown} (column {col})"
+
+    def test_edge_spaces_in_names_stay_legal(self, tmp_path):
+        path = write(tmp_path, "e.tsv", "A \t B\n a b\tA \n")
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(path, catalog, "L")
+        assert catalog.names == ["A ", " B", " a b"]
+        assert lg.n_edges == 2
+
+
 class TestEdgeListStructure:
     def test_reversed_and_duplicate_pairs(self, tmp_path):
         text = "B\tA\nA\tB\nC\tA\nA\tC\nB\tA\nC\tB\n"
