@@ -1,14 +1,20 @@
 """Aligned multilayer dataset: gene catalog, layer graphs, features, labels.
 
-Input formats (all UTF-8, LF or CRLF; a byte that is not UTF-8 is a
-DataError naming its line):
+Input formats (all UTF-8; a line ends at LF, CRLF or a lone CR; an error
+names the file and the physical line; a byte that is not UTF-8 is reported
+before any other defect, wherever it is):
   edge list    whitespace-separated gene pairs, one per line, '#' comments
   features     CSV with header row ``gene,<name>,...``; an optional second
-               row whose first cell is ``group`` tags each feature with an
-               omic group. Read in one pass: the first bad row or cell in
-               file order is the error, after any byte that is not UTF-8
+               record whose first cell is ``group`` tags each feature with
+               an omic group. The first bad row or cell in file order is
+               the error
   labels       ``gene<TAB>0|1``
   gene sets    GMT (set name, description, members, tab-separated)
+
+Edge lists, labels and features are read in blocks of whole lines
+(``BLOCK_CHARS``). A block of plain lines is parsed with a few string and
+numpy calls; any other block is read line by line, and only that route
+raises errors, so the two routes give the same result.
 
 Self-loops are never stored on a layer graph; degree-based normalization
 adds them later. Edge lists are undirected and deduplicated to a canonical
@@ -17,10 +23,13 @@ adds them later. Edge lists are undirected and deduplicated to a canonical
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import logging
 import math
+import re
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -29,6 +38,9 @@ from .errors import DataError
 logger = logging.getLogger(__name__)
 
 POSITIVE, NEGATIVE = 1, 0
+
+# text loaders read whole lines in blocks of about this many characters
+BLOCK_CHARS = 1 << 16
 
 
 class GeneCatalog:
@@ -267,18 +279,26 @@ def utf8_error(path) -> DataError | None:
     return None
 
 
-def _data_lines(path):
-    """(line number, line) of every line that is neither blank nor a '#'
-    comment; both may be indented."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                head = line.lstrip()
-                if head and head[0] != "#":
-                    yield lineno, line
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+def _data_lines(lines, first=1):
+    """(line number, line) of every line of ``lines``, the first numbered
+    ``first``, that is neither blank nor a '#' comment; both may be indented."""
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.rstrip("\r\n")
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield lineno, line
+
+
+@contextlib.contextmanager
+def _utf8_first(path):
+    """Turn any DataError or decoding error into one naming the first byte of
+    ``path`` that is not UTF-8, if there is one, wherever it is."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    except DataError as err:
+        raise utf8_error(path) or err from None
 
 
 def _two_columns(line, path, lineno):
@@ -295,6 +315,41 @@ def _two_columns(line, path, lineno):
     return fields
 
 
+# lines that are each 'name<TAB>name', with no other whitespace and no leading '#'
+_NAME_PAIRS = re.compile(r"(?:[^\s#]\S*\t\S+\n)*(?:[^\s#]\S*\t\S+)?")
+
+
+def _pairs_in_bulk(lines):
+    """Both names of every line, flat in file order, if ``_NAME_PAIRS``
+    matches the lines; else None."""
+    text = "".join(lines)
+    return text.split() if _NAME_PAIRS.fullmatch(text) else None
+
+
+def _two_column_blocks(path):
+    """(line numbers, fields) per block of a two-column file: the numbers of
+    its data lines and both fields of each, flat in file order. A block that
+    ``_pairs_in_bulk`` refuses is read line by line; a bad line's error is
+    raised after the lines before it are yielded."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = 1
+        while lines := fh.readlines(BLOCK_CHARS):
+            fields = _pairs_in_bulk(lines)
+            if fields is not None:
+                yield range(first, first + len(lines)), fields
+            else:
+                linenos, fields = [], []
+                try:
+                    for lineno, line in _data_lines(lines, first):
+                        fields += _two_columns(line, path, lineno)
+                        linenos.append(lineno)
+                except DataError:
+                    yield linenos, fields  # the lines before the bad one come first
+                    raise
+                yield linenos, fields
+            first += len(lines)
+
+
 def load_layer_graph(path, catalog: GeneCatalog, layer_name: str) -> LayerGraph:
     """Parse an edge list; unseen gene names are appended to the catalog in
     the order they first appear.
@@ -303,8 +358,9 @@ def load_layer_graph(path, catalog: GeneCatalog, layer_name: str) -> LayerGraph:
     self-loop lines register the node but store no edge.
     """
     names = []  # both endpoints of every data line, in file order
-    for lineno, line in _data_lines(path):
-        names += _two_columns(line, path, lineno)
+    with _utf8_first(path):
+        for _, fields in _two_column_blocks(path):
+            names += fields
     if not names:
         raise DataError("edge file contains no edges", path=path)
     for name in dict.fromkeys(names):
@@ -326,66 +382,128 @@ def _cell_error(row, lineno, path):
             return DataError(f"non-finite cell {cell!r} (column {col})", path=path, line=lineno)
 
 
+def _check_names(cells, what, path, lineno):
+    """Raise a DataError naming the first of ``cells`` (CSV columns 2 on)
+    that is empty or only whitespace."""
+    for col, cell in enumerate(cells, start=2):
+        if not cell.strip():
+            raise DataError(f"empty {what} {cell!r} (column {col})", path=path, line=lineno)
+
+
+def _csv_records(lines, path, base):
+    """(row, physical line it ends on) of each CSV record of ``lines``, whose
+    first line is ``base + 1``; a csv.Error is a DataError naming its line."""
+    rows = csv.reader(lines)
+    try:
+        for row in rows:
+            yield row, base + rows.line_num
+    except csv.Error as err:
+        raise DataError(str(err), path=path, line=base + rows.line_num) from None
+
+
+def _features_in_bulk(lines, d, index, seen):
+    """(catalog ids, values) of a block of feature rows if every line is a
+    plain record (``d`` commas, a closing LF, no quote, no CR, no field over
+    the CSV field limit) of a catalog gene not seen before with ``d`` finite
+    cells; else None."""
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or text.count("\n") != len(lines)
+            or set(map(str.count, lines, repeat(","))) != {d}):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # the empty string after the last LF
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:  # no field outgrows its block
+        return None
+    gids = list(map(index.get, map(str.strip, cells[::d + 1])))
+    if None in gids or len(set(gids)) != len(gids):
+        return None
+    gids = np.array(gids, dtype=np.intp)
+    if seen[gids].any():
+        return None
+    del cells[::d + 1]
+    try:
+        values = np.array(cells, dtype=np.float64).reshape(-1, d)
+    except ValueError:
+        return None
+    return (gids, values) if np.isfinite(values).all() else None
+
+
 def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
     """Parse a feature CSV and reorder rows to catalog order.
 
     Catalog genes missing from the file receive all-zero rows (counted on
     ``FeatureMatrix.missing``); genes in the file but not in the catalog are
-    an error. Each row is checked and its cells parsed as it is read, so the
-    error raised is the first bad row or cell in file order, unless some
-    byte of the file is not UTF-8: that is reported first, wherever it is.
+    an error. The error raised is the first bad row or cell in file order,
+    naming the physical line the row ends on, unless some byte of the file
+    is not UTF-8: that is reported first, wherever it is.
+
+    The header and the second record are read with ``csv``; the rest in
+    blocks of lines. A block ``_features_in_bulk`` takes is parsed with a few
+    string and numpy calls; any other block is read record by record with
+    ``csv``, and that route raises every error.
     """
     n = len(catalog)
-    seen = set()
+    index = catalog.index
+    seen = np.zeros(n, dtype=bool)
     omic_group = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        try:
-            header = next(rows, None)
-            if header is None:
-                raise DataError("feature file is empty", path=path)
-            if len(header) < 2:
-                raise DataError("feature header needs a gene column and at least one feature",
-                                path=path)
-            feature_names = [c.strip() for c in header[1:]]
-            d = len(feature_names)
-            if len(set(feature_names)) != d:
-                raise DataError("duplicate feature names", path=path, line=1)
-            values = np.zeros((n, d))
-            for lineno, row in enumerate(rows, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 2 and row[0].strip().lower() == "group":
-                    omic_group = [c.strip() for c in row[1:]]
-                    if len(omic_group) != d:
-                        raise DataError("group row length does not match feature count",
-                                        path=path, line=2)
-                    continue
-                if len(row) != d + 1:
-                    raise DataError(f"expected {d + 1} fields, got {len(row)}",
-                                    path=path, line=lineno)
-                gene = row[0].strip()
-                gid = catalog.index.get(gene)
-                if gid is None:
-                    raise DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
-                if gid in seen:
-                    raise DataError(f"duplicate feature row for gene {gene!r}",
-                                    path=path, line=lineno)
-                seen.add(gid)
-                try:
-                    values[gid] = [float(cell) for cell in row[1:]]
-                except ValueError:
-                    raise _cell_error(row, lineno, path) from None
-                if not np.isfinite(values[gid]).all():
-                    raise _cell_error(row, lineno, path)
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
-        except csv.Error as err:
-            raise utf8_error(path) or DataError(str(err), path=path, line=rows.line_num) from None
-        except DataError as err:  # a byte that is not UTF-8 wins, wherever it is
-            raise utf8_error(path) or err from None
+    with open(path, "r", encoding="utf-8", newline="") as fh, _utf8_first(path):
+        head = _csv_records(fh, path, 0)
+        header, line = next(head, (None, 0))
+        if header is None:
+            raise DataError("feature file is empty", path=path)
+        if len(header) < 2:
+            raise DataError("feature header needs a gene column and at least one feature",
+                            path=path)
+        _check_names(header[1:], "feature name", path, line)
+        feature_names = [c.strip() for c in header[1:]]
+        d = len(feature_names)
+        if len(set(feature_names)) != d:
+            raise DataError("duplicate feature names", path=path, line=line)
+        values = np.zeros((n, d))
 
-    missing = tuple(catalog.names[g] for g in range(n) if g not in seen)
+        def add_row(row, lineno):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                return
+            if len(row) != d + 1:
+                raise DataError(f"expected {d + 1} fields, got {len(row)}", path=path, line=lineno)
+            gene = row[0].strip()
+            gid = index.get(gene)
+            if gid is None:
+                raise DataError(f"gene {gene!r} not in catalog", path=path, line=lineno)
+            if seen[gid]:
+                raise DataError(f"duplicate feature row for gene {gene!r}", path=path, line=lineno)
+            seen[gid] = True
+            try:
+                values[gid] = [float(cell) for cell in row[1:]]
+            except ValueError:
+                raise _cell_error(row, lineno, path) from None
+            if not np.isfinite(values[gid]).all():
+                raise _cell_error(row, lineno, path)
+
+        row, line = next(head, ([], line))  # a group row only as the second record
+        if row and row[0].strip().lower() == "group":
+            if len(row) != d + 1:
+                raise DataError("group row length does not match feature count",
+                                path=path, line=line)
+            _check_names(row[1:], "group tag", path, line)
+            omic_group = [c.strip() for c in row[1:]]
+        else:
+            add_row(row, line)
+        while lines := fh.readlines(BLOCK_CHARS):
+            bulk = _features_in_bulk(lines, d, index, seen)
+            if bulk is not None:
+                values[bulk[0]] = bulk[1]
+                seen[bulk[0]] = True
+                line += len(lines)
+                continue
+            end = line + len(lines)  # a record may run on past the block
+            for row, line in _csv_records(chain(lines, fh), path, line):
+                add_row(row, line)
+                if line >= end:
+                    break
+
+    missing = tuple(compress(catalog.names, (~seen).tolist()))
     if missing:
         logger.warning(
             "%d catalog gene(s) missing from %s; zero rows substituted", len(missing), path
@@ -393,41 +511,57 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
     return FeatureMatrix(values, feature_names, omic_group, missing=missing)
 
 
+def _labels_in_bulk(labels, gids, tags):
+    """Add one block's labels to ``labels`` and return True if every gene is
+    in the catalog, every tag is 0 or 1 and no gene gets a second, different
+    label; else change nothing and return False."""
+    if None in gids or not set(tags) <= {"0", "1"}:
+        return False
+    vals = list(map(int, tags))
+    block = dict(zip(gids, vals))  # a gene's last label in the block
+    if list(map(block.__getitem__, gids)) != vals or list(map(labels.get, gids, vals)) != vals:
+        return False
+    labels.update(block)
+    return True
+
+
 def load_labels(path, catalog: GeneCatalog) -> LabelSet:
     labels: dict[int, int] = {}
-    for lineno, line in _data_lines(path):
-        gene, tag = _two_columns(line, path, lineno)
-        gid = catalog.index.get(gene)
-        if gid is None:
-            raise DataError(f"label for unknown gene {gene!r}", path=path, line=lineno)
-        if tag not in ("0", "1"):
-            raise DataError(f"label must be 0 or 1, got {tag!r}", path=path, line=lineno)
-        val = int(tag)
-        if gid in labels and labels[gid] != val:
-            raise DataError(f"conflicting labels for gene {gene!r}", path=path, line=lineno)
-        labels[gid] = val
+    with _utf8_first(path):
+        for linenos, fields in _two_column_blocks(path):
+            genes, tags = fields[0::2], fields[1::2]
+            gids = list(map(catalog.index.get, genes))
+            if _labels_in_bulk(labels, gids, tags):
+                continue
+            for lineno, gene, gid, tag in zip(linenos, genes, gids, tags):
+                if gid is None:
+                    raise DataError(f"label for unknown gene {gene!r}", path=path, line=lineno)
+                if tag not in ("0", "1"):
+                    raise DataError(f"label must be 0 or 1, got {tag!r}", path=path, line=lineno)
+                val = int(tag)
+                if gid in labels and labels[gid] != val:
+                    raise DataError(f"conflicting labels for gene {gene!r}", path=path, line=lineno)
+                labels[gid] = val
     return LabelSet(labels)
 
 
 def load_gene_sets(path) -> GeneSetCollection:
     sets: dict[str, list[str]] = {}
     description: dict[str, str] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise DataError(
-                f"GMT line needs set name, description and >=1 member, got {len(fields)} fields",
-                path=path,
-                line=lineno,
-            )
-        name, desc, *members = fields
-        members = [m for m in members if m.strip()]
-        if not members:
-            raise DataError(f"gene set {name!r} has no members", path=path, line=lineno)
-        if name in sets:
-            raise DataError(f"duplicate gene set {name!r}", path=path, line=lineno)
-        sets[name] = members
-        description[name] = desc
+    with open(path, "r", encoding="utf-8", newline="") as fh, _utf8_first(path):
+        for lineno, line in _data_lines(fh):
+            fields = line.split("\t")
+            if len(fields) < 3:
+                raise DataError(f"GMT line needs set name, description and >=1 member, "
+                                f"got {len(fields)} fields", path=path, line=lineno)
+            name, desc, *members = fields
+            members = [m for m in members if m.strip()]
+            if not members:
+                raise DataError(f"gene set {name!r} has no members", path=path, line=lineno)
+            if name in sets:
+                raise DataError(f"duplicate gene set {name!r}", path=path, line=lineno)
+            sets[name] = members
+            description[name] = desc
     return GeneSetCollection(sets, description)
 
 
@@ -490,13 +624,14 @@ def remove_edges(dataset: MultilayerDataset, fraction: float, seed: int) -> Mult
 # ---------------------------------------------------------------------------
 
 def write_edge_list(layer: LayerGraph, catalog: GeneCatalog, path):
+    names = catalog.names
+    covered = np.zeros(len(names), dtype=bool)
+    covered[layer.edges] = True
+    isolated = layer.node_ids[~covered[layer.node_ids]]
     with open(path, "w", encoding="utf-8") as fh:
-        covered = set(layer.edges.ravel().tolist())
-        for u, v in layer.edges:
-            fh.write(f"{catalog.names[u]}\t{catalog.names[v]}\n")
-        for g in layer.node_ids:
-            if int(g) not in covered:  # isolated node: self-loop line keeps it present
-                fh.write(f"{catalog.names[g]}\t{catalog.names[g]}\n")
+        fh.writelines(f"{names[u]}\t{names[v]}\n" for u, v in layer.edges.tolist())
+        # an isolated node's self-loop line keeps it present
+        fh.writelines(f"{names[g]}\t{names[g]}\n" for g in isolated.tolist())
 
 
 def write_features_csv(features: FeatureMatrix, catalog: GeneCatalog, path):

@@ -103,6 +103,7 @@ class TestEmptyGeneName:
         ("layers", "G0001\tG0002\nG0003\t\n", ":2: empty field '' (column 2)"),
         ("layers", "\tG0002\n", ":1: empty field '' (column 1)"),
         ("labels", "G0001\t1\nG0002\t \n", ":2: empty field ' ' (column 2)"),
+        ("features", "gene,f1,,f3\n", ":1: empty feature name '' (column 3)"),
     ])
     def test_train_exits_2_naming_file_line_and_column(self, ws, tmp_path, capsys,
                                                         key, text, where):
@@ -112,7 +113,7 @@ class TestEmptyGeneName:
         if key == "layers":
             cfg["paths"]["layers"][0]["path"] = str(bad)
         else:
-            cfg["paths"]["labels"] = str(bad)
+            cfg["paths"][key] = str(bad)
         cfg["output_dir"] = str(tmp_path / "out")
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from multilayer_gnn import analysis as an
 from multilayer_gnn import cli
 from multilayer_gnn import data as dm
+from multilayer_gnn import synth
 from multilayer_gnn.errors import DataError
 
 GENES = ["A", "B", "C", "group"]
@@ -232,3 +234,135 @@ def test_json_nested_too_deep_names_the_file(tmp_path, gene_sets, capsys, comman
     err = capsys.readouterr().err
     assert f"error: {path}: not valid JSON" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the bulk route and the line-by-line route agree
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def planted_files(tmp_path_factory):
+    """Text files of three small planted datasets and the gene names of each."""
+    out = []
+    for seed, (n_genes, n_layers) in enumerate([(12, 1), (40, 2), (90, 3)]):
+        dataset, truth = synth.planted_dataset(n_genes=n_genes, n_layers=n_layers, n_features=5,
+                                               community_size=6, seed=seed)
+        paths = synth.write_planted(tmp_path_factory.mktemp(f"planted{seed}"), dataset, truth)
+        files = {"features": paths["features"], "labels": paths["labels"],
+                 "layers": [e["path"] for e in paths["layers"]]}
+        out.append(({k: [Path(p).read_text() for p in v] if k == "layers"
+                     else Path(v).read_text() for k, v in files.items()},
+                    dataset.catalog.names))
+    return out
+
+
+def outcome(load):
+    """What ``load()`` returns, or the message of the DataError it raises."""
+    try:
+        return load()
+    except DataError as err:
+        return str(err)
+
+
+def both_routes(load, block):
+    """``outcome(load)`` with every block on its bulk route if it qualifies,
+    then with every block read line by line, blocks of ``block`` characters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dm, "BLOCK_CHARS", block)
+        bulk = outcome(load)
+        mp.setattr(dm, "_pairs_in_bulk", lambda lines: None)
+        mp.setattr(dm, "_labels_in_bulk", lambda labels, gids, tags: False)
+        mp.setattr(dm, "_features_in_bulk", lambda lines, d, index, seen: None)
+        return bulk, outcome(load)
+
+
+def edited(text, sep, tokens, data):
+    """The bytes of ``text`` with up to three edits, each a field of a line
+    (split at ``sep``) set to a token, a token put in anywhere or as a line
+    of its own, or a copy of a nearby line put in; maybe cut short."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        token = data.draw(st.sampled_from(tokens))
+        how = data.draw(st.sampled_from(["field", "insert", "line", "copy"]))
+        if how == "field":
+            fields = lines[i].rstrip("\n").split(sep)
+            fields[data.draw(st.integers(0, len(fields) - 1))] = token
+            lines[i] = sep.join(fields) + "\n"
+        elif how == "insert":
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + token + lines[i][at:]
+        elif how == "line":
+            lines.insert(i, token + "\n")
+        else:
+            near = st.integers(max(i - 3, 0), min(i + 3, len(lines) - 1))
+            lines.insert(i, lines[data.draw(near)])
+    text = "".join(lines)
+    if data.draw(st.integers(0, 3)) == 0:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    return text.encode()
+
+
+# fields and lines that a bulk route must turn down, or read as the
+# line-by-line route does, in the planted files (5 features, genes G0000...)
+CELLS = ["inf", "1e999", "oops", "", " 1 ", "1_0", "\xa02", '"3"', '"4\n5"', "6\r", "G0001",
+         " G0002 ", "\n", "G0001,1,2,3,4,5", "G0002,1,2,3,4"]
+NAMES = ["G0001", " G0002", "#G0003", "G 1", "", "\t", "\n", "\r", "G0002\tG0003",
+         "#G0002\tG0003"]
+LABELS = ["G0001", "Z", "", "0", "1", " 1", "G0001\t0", "G0001\t1", "#G0001\t1"]
+
+
+blocks = st.sampled_from([1, 64, 300, 2000, 1 << 16])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), block=blocks)
+def test_feature_routes_agree(fuzz_dir, planted_files, data, block):
+    source = data.draw(st.sampled_from(["bytes", "defective", "planted", "planted"]))
+    if source == "bytes":
+        raw, genes = data.draw(any_bytes), GENES
+    elif source == "defective":
+        text, genes, _, _ = data.draw(defective_features())
+        raw = text.encode("utf-8")
+    else:
+        files, genes = data.draw(st.sampled_from(planted_files))
+        raw = edited(files["features"], ",", CELLS, data)
+    path = fuzz_dir / "routes.csv"
+    path.write_bytes(raw)
+
+    def load():
+        catalog = dm.GeneCatalog(genes)
+        fm = dm.load_feature_matrix(str(path), catalog)
+        return (catalog.names, fm.values.tobytes(), fm.feature_names, fm.omic_group,
+                fm.missing)
+
+    bulk, by_line = both_routes(load, block)
+    assert bulk == by_line
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), block=blocks)
+def test_layer_and_label_routes_agree(fuzz_dir, planted_files, data, block):
+    if data.draw(st.integers(0, 2)) == 0:
+        layer, labels, genes = data.draw(tsv_bytes), data.draw(tsv_bytes), ["A", "B", "C"]
+    else:
+        files, genes = data.draw(st.sampled_from(planted_files))
+        layer = edited(data.draw(st.sampled_from(files["layers"])), "\t", NAMES, data)
+        labels = edited(files["labels"], "\t", LABELS, data)
+    layer_path, label_path = fuzz_dir / "routes.tsv", fuzz_dir / "routes_labels.tsv"
+    layer_path.write_bytes(layer)
+    label_path.write_bytes(labels)
+    known = data.draw(st.integers(0, len(genes)))  # catalog genes before the layer loads
+
+    def load_layer():
+        catalog = dm.GeneCatalog(genes[:known])
+        lg = dm.load_layer_graph(str(layer_path), catalog, "L")
+        return (catalog.names, lg.node_ids.tobytes(), lg.edges.tobytes(),
+                lg.csr_indptr.tobytes(), lg.csr_indices.tobytes())
+
+    def load_labels():
+        return list(dm.load_labels(str(label_path), dm.GeneCatalog(genes)).labels.items())
+
+    for load in (load_layer, load_labels):
+        bulk, by_line = both_routes(load, block)
+        assert bulk == by_line

@@ -1,6 +1,8 @@
 """Edge cases of the text loaders: separators, comments, line endings,
 catalog order, CSV quoting, rejected cells and exact round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,163 @@ class TestNotUtf8:
         path = self.write_bytes(tmp_path, "r.csv", [b"gene,score", b"A,1"], b"\xffB,0.5")
         with pytest.raises(DataError, match=r"r\.csv:3: not valid UTF-8 \(byte 0xff\)"):
             an.load_ranking_csv(path)
+
+
+class TestPhysicalLines:
+    """An error names the physical line its record ends on, also after a
+    quoted cell that holds a newline."""
+
+    def test_quoted_newline_in_the_header(self, tmp_path):
+        path = write(tmp_path, "f.csv", 'gene,"f\n1",f2\nA,1,2\nB,x,3\n')
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+        assert str(err.value) == f"{path}:4: non-numeric cell 'x' (column 2)"
+
+    def test_quoted_newline_in_a_row(self, tmp_path):
+        path = write(tmp_path, "f.csv", 'gene,f1\nA,"1\r\n"\nA,2\n')
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert str(err.value) == f"{path}:4: duplicate feature row for gene 'A'"
+
+    def test_group_row_after_a_two_line_header(self, tmp_path):
+        path = write(tmp_path, "f.csv", 'gene,"f\n1"\ngroup,x,y\n')
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert str(err.value) == f"{path}:3: group row length does not match feature count"
+
+
+class TestEmptyFeatureNames:
+    """A feature name or group tag that is empty or only whitespace names the
+    file, the line and the column."""
+
+    @pytest.mark.parametrize("header, shown, col", [
+        ("gene,,f2", "''", 2), ("gene,f1, ", "' '", 3), ('gene,f1,"\t"', "'\\t'", 3),
+        ("gene,,", "''", 2)])
+    def test_header(self, tmp_path, header, shown, col):
+        path = write(tmp_path, "f.csv", f"{header}\nA,1,2\n")
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert str(err.value) == f"{path}:1: empty feature name {shown} (column {col})"
+
+    @pytest.mark.parametrize("group, shown, col", [("group,,b", "''", 2),
+                                                   ("Group,a, ", "' '", 3)])
+    def test_group_row(self, tmp_path, group, shown, col):
+        path = write(tmp_path, "f.csv", f"gene,f1,f2\r\n{group}\r\nA,1,2\r\n")
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert str(err.value) == f"{path}:2: empty group tag {shown} (column {col})"
+
+    def test_inner_spaces_stay_legal(self, tmp_path):
+        path = write(tmp_path, "f.csv", "gene, f 1 ,f2\ngroup, a b ,c\nA,1,2\n")
+        fm = dm.load_feature_matrix(path, dm.GeneCatalog(["A"]))
+        assert fm.feature_names == ["f 1", "f2"]
+        assert fm.omic_group == ["a b", "c"]
+
+
+class TestBlocks:
+    """Files are read in blocks of lines; what a block edge splits reads the
+    same as a whole file, and a byte that is not UTF-8 in a later block is
+    still reported before an earlier defect."""
+
+    @pytest.mark.parametrize("block", [1, 7, 20, 1 << 16])
+    def test_quoted_record_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dm, "BLOCK_CHARS", block)
+        rows = "".join(f"G{i},{i}.5,-{i}\n" for i in range(40))
+        text = f'gene,f1,f2\ngroup,a,b\n{rows}"G40","1\n",2\n{rows.replace("G", "H")}'
+        genes = [f"G{i}" for i in range(41)] + [f"H{i}" for i in range(40)] + ["Z"]
+        fm = dm.load_feature_matrix(write(tmp_path, "f.csv", text), dm.GeneCatalog(genes))
+        expected = [[i + 0.5, -float(i)] for i in range(40)] + [[1.0, 2.0]] + [
+            [i + 0.5, -float(i)] for i in range(40)] + [[0.0, 0.0]]
+        assert fm.values.tobytes() == np.array(expected).tobytes()
+        assert fm.missing == ("Z",)
+        assert fm.omic_group == ["a", "b"]
+        path = write(tmp_path, "g.csv", text + "H3,1,1\n")
+        with pytest.raises(DataError, match=r"g\.csv:85: duplicate feature row for gene 'H3'"):
+            dm.load_feature_matrix(path, dm.GeneCatalog(genes))
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 16])
+    def test_edge_list_and_labels_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dm, "BLOCK_CHARS", block)
+        text = "".join(f"G{i}\tG{i + 1}\n" for i in range(30)) + "# c\nG3 G7\r\nG9\tG9"
+        catalog = dm.GeneCatalog()
+        lg = dm.load_layer_graph(write(tmp_path, "e.tsv", text), catalog, "L")
+        assert catalog.names == [f"G{i}" for i in range(31)]
+        assert lg.n_edges == 31
+        labels = "".join(f"G{i}\t{i % 2}\n" for i in range(31)) + "\nG4\t0\nG4\t1\n"
+        with pytest.raises(DataError, match=r"l\.tsv:34: conflicting labels for gene 'G4'"):
+            dm.load_labels(write(tmp_path, "l.tsv", labels), catalog)
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_conflicting_labels_in_plain_lines(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(dm, "BLOCK_CHARS", block)
+        path = write(tmp_path, "l.tsv", "A\t0\nB\t1\nA\t0\nA\t1\n")
+        with pytest.raises(DataError) as err:
+            dm.load_labels(path, dm.GeneCatalog(["A", "B"]))
+        assert str(err.value) == f"{path}:4: conflicting labels for gene 'A'"
+
+    @pytest.mark.parametrize("body, rows", [
+        ('"G",1\nH,2\n', {"G": 1.0, "H": 2.0}),  # csv unquotes, so '"G"' stays absent
+        (" G ,1\nH,2\n", {"G": 1.0, "H": 2.0}),  # names are stripped
+        ('H"",2\n', {'H""': 2.0}),  # quotes inside a cell stay
+        ("G,1\nH,2", {"G": 1.0, "H": 2.0}),  # no LF at the end
+        ("G,1\r\nH, 2\r\n", {"G": 1.0, "H": 2.0}),
+    ])
+    def test_plain_looking_rows_read_as_csv_reads_them(self, tmp_path, body, rows):
+        genes = ["X", "G", '"G"', "H", 'H""', " G "]
+        path = write(tmp_path, "f.csv", "gene,f1\nX,0\n" + body)  # past the second record
+        fm = dm.load_feature_matrix(path, dm.GeneCatalog(genes))
+        assert fm.values.ravel().tolist() == [rows.get(g, 0.0) for g in genes]
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    @pytest.mark.parametrize("body, error", [
+        ("G,1\nG,2\n", ":4: duplicate feature row for gene 'G'"),
+        ("G,1\nX,2\n", ":4: duplicate feature row for gene 'X'"),
+        ("G,1\nH,inf\n", ":4: non-finite cell 'inf' (column 2)"),
+        ("G,-1e999\n", ":3: non-finite cell '-1e999' (column 2)"),
+        ("G,1\nH,0x1\n", ":4: non-numeric cell '0x1' (column 2)"),
+        ("G,1\nZ,2\n", ":4: gene 'Z' not in catalog"),
+        ("G,1,2\n", ":3: expected 2 fields, got 3"),
+    ])
+    def test_defects_in_plain_rows(self, tmp_path, monkeypatch, block, body, error):
+        monkeypatch.setattr(dm, "BLOCK_CHARS", block)
+        path = write(tmp_path, "f.csv", "gene,f1\nX,0\n" + body)  # past the second record
+        with pytest.raises(DataError) as err:
+            dm.load_feature_matrix(path, dm.GeneCatalog(["X", "G", "H"]))
+        assert str(err.value) == f"{path}{error}"
+
+    def test_field_limit_holds_for_fields_not_lines(self, tmp_path, monkeypatch):
+        taken = []
+        bulk = dm._features_in_bulk
+        monkeypatch.setattr(dm, "_features_in_bulk",
+                            lambda *args: taken.append(bulk(*args)) or taken[-1])
+        d = 40
+        head = "gene," + ",".join(f"f{j}" for j in range(d)) + "\nA" + ",1.5" * d
+        path = write(tmp_path, "f.csv", f"{head}\nB{',2' * d}\n")
+        path_long = write(tmp_path, "g.csv", f"{head}\nB,{'2' * 51}{',2' * (d - 1)}\n")
+        old = csv.field_size_limit(50)
+        try:
+            fm = dm.load_feature_matrix(path, dm.GeneCatalog(["A", "B"]))
+            with pytest.raises(DataError, match=r"g\.csv:3: field larger than field limit \(50\)"):
+                dm.load_feature_matrix(path_long, dm.GeneCatalog(["A", "B"]))
+        finally:
+            csv.field_size_limit(old)
+        assert fm.values.tolist() == [[1.5] * d, [2.0] * d]
+        assert taken[0] is not None and taken[1] is None
+
+    @pytest.mark.parametrize("reader", ["features", "layer", "labels", "gene_sets"])
+    def test_bad_byte_in_a_later_block_wins(self, tmp_path, reader):
+        catalog = dm.GeneCatalog(["A", "B"])
+        head, bad_line, load = {
+            "features": (b"gene,f1\nA,oops\n", b"B,1", lambda p: dm.load_feature_matrix(p, catalog)),
+            "layer": (b"A B C\n", b"A\tB", lambda p: dm.load_layer_graph(p, catalog, "L")),
+            "labels": (b"Z\t1\n", b"A\t1", lambda p: dm.load_labels(p, catalog)),
+            "gene_sets": (b"S\td\n", b"T\tdesc\tA", dm.load_gene_sets),
+        }[reader]
+        n = 20_000  # blank lines, so the bad byte is blocks after the first defect
+        body = head + (b" " * 20 + b"\n") * n + bad_line + b"\xff\n"
+        path = tmp_path / "in.txt"
+        path.write_bytes(body)
+        with pytest.raises(DataError) as err:
+            load(path)
+        line = head.count(b"\n") + n + 1
+        assert str(err.value) == f"{path}:{line}: not valid UTF-8 (byte 0xff)"
