@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE, subseed,
-                   utf8_error)
+from .data import (GeneSetCollection, LabelSet, MultilayerDataset, POSITIVE, csv_records,
+                   subseed, utf8_first)
 from .errors import DataError
 from .gnn import GnnConfig, ModelParams, forward
 
@@ -314,14 +314,9 @@ def load_ranking_csv(path) -> RankedGeneList:
     """The ``gene,score`` rows of a ranking CSV; a row whose score is missing,
     not a number or not finite, or whose gene an earlier row named, is a
     DataError naming its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
-        except csv.Error as err:
-            raise utf8_error(path) or DataError(str(err), path=path, line=reader.line_num) from None
+    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_first(path):
+        rows = [(line, row) for row, line in csv_records(fh, path, 0)
+                if row and not row[0].startswith("#")]
     if not rows or [c.lower() for c in rows[0][1][:2]] != ["gene", "score"]:
         raise DataError("ranking CSV must start with a 'gene,score[,...]' header", path=path)
     scores = {}

@@ -29,7 +29,7 @@ from . import explain as ex
 from . import synth
 from . import training as tr
 from .config import LOG_LEVELS, GnnConfig, RunConfig, check_section
-from .data import load_dataset, load_gene_sets, perturb_features, remove_edges, utf8_error
+from .data import load_dataset, load_gene_sets, perturb_features, remove_edges, utf8_first
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .gnn import forward, prepare
 
@@ -237,10 +237,8 @@ def cmd_explain(cfg, args) -> int:
     """
     genes = (args.genes or "").split(",")
     if args.genes_file:
-        try:
+        with utf8_first(args.genes_file):
             genes += Path(args.genes_file).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError:
-            raise utf8_error(args.genes_file) from None
     genes = [g.strip() for g in genes if g.strip()]
     if not genes:
         raise _UsageError("explain needs --genes or --genes-file")
@@ -279,6 +277,9 @@ def cmd_explain(cfg, args) -> int:
 
 def cmd_discover(cfg, args) -> int:
     outdir, dataset = _start(cfg)
+    if args.threshold is None and not dataset.labels.positive_ids().size:
+        raise DataError("no labeled positive to pick a threshold from; "
+                        "--threshold skips the selection", path=cfg["paths"]["labels"])
     params, model_cfg = _load_checkpoint_for(args.checkpoint, dataset)
     result = an.discover_candidates(params, model_cfg, dataset, args.threshold,
                                     args.precision_target)

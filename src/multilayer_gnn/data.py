@@ -290,7 +290,7 @@ def _data_lines(lines, first=1):
 
 
 @contextlib.contextmanager
-def _utf8_first(path):
+def utf8_first(path):
     """Turn any DataError or decoding error into one naming the first byte of
     ``path`` that is not UTF-8, if there is one, wherever it is."""
     try:
@@ -358,7 +358,7 @@ def load_layer_graph(path, catalog: GeneCatalog, layer_name: str) -> LayerGraph:
     self-loop lines register the node but store no edge.
     """
     names = []  # both endpoints of every data line, in file order
-    with _utf8_first(path):
+    with utf8_first(path):
         for _, fields in _two_column_blocks(path):
             names += fields
     if not names:
@@ -390,7 +390,7 @@ def _check_names(cells, what, path, lineno):
             raise DataError(f"empty {what} {cell!r} (column {col})", path=path, line=lineno)
 
 
-def _csv_records(lines, path, base):
+def csv_records(lines, path, base):
     """(row, physical line it ends on) of each CSV record of ``lines``, whose
     first line is ``base + 1``; a csv.Error is a DataError naming its line."""
     rows = csv.reader(lines)
@@ -447,8 +447,8 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
     index = catalog.index
     seen = np.zeros(n, dtype=bool)
     omic_group = None
-    with open(path, "r", encoding="utf-8", newline="") as fh, _utf8_first(path):
-        head = _csv_records(fh, path, 0)
+    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_first(path):
+        head = csv_records(fh, path, 0)
         header, line = next(head, (None, 0))
         if header is None:
             raise DataError("feature file is empty", path=path)
@@ -498,7 +498,7 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
                 line += len(lines)
                 continue
             end = line + len(lines)  # a record may run on past the block
-            for row, line in _csv_records(chain(lines, fh), path, line):
+            for row, line in csv_records(chain(lines, fh), path, line):
                 add_row(row, line)
                 if line >= end:
                     break
@@ -511,29 +511,12 @@ def load_feature_matrix(path, catalog: GeneCatalog) -> FeatureMatrix:
     return FeatureMatrix(values, feature_names, omic_group, missing=missing)
 
 
-def _labels_in_bulk(labels, gids, tags):
-    """Add one block's labels to ``labels`` and return True if every gene is
-    in the catalog, every tag is 0 or 1 and no gene gets a second, different
-    label; else change nothing and return False."""
-    if None in gids or not set(tags) <= {"0", "1"}:
-        return False
-    vals = list(map(int, tags))
-    block = dict(zip(gids, vals))  # a gene's last label in the block
-    if list(map(block.__getitem__, gids)) != vals or list(map(labels.get, gids, vals)) != vals:
-        return False
-    labels.update(block)
-    return True
-
-
 def load_labels(path, catalog: GeneCatalog) -> LabelSet:
     labels: dict[int, int] = {}
-    with _utf8_first(path):
+    with utf8_first(path):
         for linenos, fields in _two_column_blocks(path):
-            genes, tags = fields[0::2], fields[1::2]
-            gids = list(map(catalog.index.get, genes))
-            if _labels_in_bulk(labels, gids, tags):
-                continue
-            for lineno, gene, gid, tag in zip(linenos, genes, gids, tags):
+            for lineno, gene, tag in zip(linenos, fields[0::2], fields[1::2]):
+                gid = catalog.index.get(gene)
                 if gid is None:
                     raise DataError(f"label for unknown gene {gene!r}", path=path, line=lineno)
                 if tag not in ("0", "1"):
@@ -548,7 +531,7 @@ def load_labels(path, catalog: GeneCatalog) -> LabelSet:
 def load_gene_sets(path) -> GeneSetCollection:
     sets: dict[str, list[str]] = {}
     description: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh, _utf8_first(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_first(path):
         for lineno, line in _data_lines(fh):
             fields = line.split("\t")
             if len(fields) < 3:

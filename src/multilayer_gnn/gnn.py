@@ -4,7 +4,8 @@ The model runs in three stages: a GNN encoder applied with identical weights
 to every layer graph, a star-shaped meta graph per gene that pulls the
 gene's per-layer representations (plus its own projected features) into one
 meta node, and an MLP head that turns each meta representation into a single
-logit.
+logit. The head reads only the meta rows, so for GCN and GAT alike the last
+meta layer's neighborhood sum computes only those rows.
 
 Layers are always processed in a canonical order (sorted by layer name), and
 sparse sums run in a fixed edge order, so permuting the input layers changes
@@ -164,7 +165,9 @@ def gcn_layer(h: ad.Tensor, norm_adj: ad.SparseWeighted, w: ad.Tensor,
     return ad.matmul(ad.spmm(norm_adj, h, first_row), w, first_row)
 
 
-def _gat_on_structure(h, structure, w, a, slope, multiplier=None):
+def _gat_on_structure(h, structure, w, a, slope, multiplier=None, first_row=0):
+    """Rows ``first_row:`` of a GAT layer. ``W h`` and the attention scores
+    are computed at every row, since the sum reads them at every source."""
     d_out = w.cols
     if a.shape != (2 * d_out, 1):
         raise ValueError(f"attention vector must be {2 * d_out} x 1, got {a.shape}")
@@ -179,7 +182,7 @@ def _gat_on_structure(h, structure, w, a, slope, multiplier=None):
     )
     alpha = ad.neighbor_softmax(logits, structure)
     weights = alpha if multiplier is None else ad.mul(alpha, multiplier)
-    return ad.spmm(ad.SparseWeighted(structure, weights), wh)
+    return ad.spmm(ad.SparseWeighted(structure, weights), wh, first_row)
 
 
 def gat_layer(h: ad.Tensor, layer: LayerGraph, w: ad.Tensor, a: ad.Tensor,
@@ -199,25 +202,24 @@ def _propagate(h, structure, base_weights, ws, attn, cfg, multiplier=None, sprea
     computed. The encoder runs this over each layer graph and the meta stage
     over the star forest.
 
-    The result is rows ``first_row:`` of the last layer. A GCN computes only
-    those rows there; a GAT computes every row, since its attention reads
-    ``W h`` at every source, and gathers them. Only the meta stage passes
-    ``first_row`` and only the encoder passes ``spread``.
+    The result is rows ``first_row:`` of the last layer, and for both
+    architectures that layer's sum computes only those rows. A GCN also runs
+    its last matmul on them alone; a GAT still runs its matmul and attention
+    over every row, since the sum reads ``W h`` at every source. Only the
+    meta stage passes ``first_row`` and only the encoder passes ``spread``.
     """
     last = len(ws) - 1
     for l, w in enumerate(ws):
+        rows = first_row if l == last else 0
         if cfg.arch == GCN and l == 0 and spread is not None:
             h = ad.matmul(spread, w)
         elif cfg.arch == GCN:
             weights = base_weights if multiplier is None else ad.mul(base_weights, multiplier)
-            h = gcn_layer(h, ad.SparseWeighted(structure, weights), w,
-                          first_row if l == last else 0)
+            h = gcn_layer(h, ad.SparseWeighted(structure, weights), w, rows)
         else:
-            h = _gat_on_structure(h, structure, w, attn[l], cfg.leaky_slope, multiplier)
+            h = _gat_on_structure(h, structure, w, attn[l], cfg.leaky_slope, multiplier, rows)
         if l < last:
             h = ad.relu(h)
-    if first_row and cfg.arch == GAT:
-        h = ad.row_gather(h, np.arange(first_row, structure.n_dst))
     return h
 
 
@@ -232,9 +234,9 @@ class MetaGraph:
     ``layer_names`` is the canonical (name-sorted) order and
     ``layer_node_ids[pos]`` holds the sorted catalog ids of the nodes of
     layer position ``pos``. The layer copies are numbered layer by layer in
-    that order: copy c is gene ``copy_gene[c]`` at local id ``copy_local[c]``
-    of layer position ``copy_layer[c]``, and ``incoming[g]`` counts gene g's
-    copies.
+    that order: copy c is gene ``copy_gene[c]`` in layer position
+    ``copy_layer[c]``, so a gene's copies ascend in layer order, and
+    ``incoming[g]`` counts gene g's copies.
     """
 
     def __init__(self, layer_names, layer_node_ids, n_genes):
@@ -243,7 +245,6 @@ class MetaGraph:
         sizes = [len(ids) for ids in layer_node_ids]
         self.copy_gene = np.concatenate(layer_node_ids).astype(np.intp)
         self.copy_layer = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-        self.copy_local = np.concatenate([np.arange(size, dtype=np.intp) for size in sizes])
         self.incoming = np.bincount(self.copy_gene, minlength=self.n_genes)
 
     def n_incoming(self, gene_id: int) -> int:
@@ -258,56 +259,43 @@ def build_meta_graph(dataset: MultilayerDataset) -> MetaGraph:
 class _CompiledMeta:
     """Flattened star forest over (all layer copies + all meta nodes).
 
-    Copies keep a weight-1 self edge so stacked meta layers stay defined;
-    meta nodes use dhat = (number of incoming copies) + 1. The meta nodes are
-    the last ``n_genes`` rows, from ``meta_base`` on, so the edges into them
-    are the last edges in structure order.
+    Row c is copy c of the :class:`MetaGraph` and row ``meta_base + g`` is
+    gene g's meta node. The edges are built in the order
+    :class:`~multilayer_gnn.autodiff.EdgeStructure` sums them, so
+    ``structure.order`` is the identity: every copy's weight-1 self edge,
+    which keeps stacked meta layers defined, then per gene one edge from each
+    of its copies in layer order and its own self edge last. A meta node with
+    m copies has dhat = m + 1; its cross edges weigh 1/sqrt(dhat) and its self
+    edge 1/dhat. The meta rows come last, so their edges are the last edges,
+    and the meta stage's last sum, which computes only those rows, reads only
+    those edges.
     """
 
     def __init__(self, meta: MetaGraph, layer_sizes, n_genes):
-        offsets = np.concatenate([[0], np.cumsum(layer_sizes)]).astype(np.intp)
-        self.copy_offsets = offsets[:-1]
-        self.meta_base = int(offsets[-1])
+        self.meta_base = int(sum(layer_sizes))
         self.n_nodes = self.meta_base + n_genes
-        meta_rows = np.arange(self.meta_base, self.n_nodes, dtype=np.intp)
+        m = self._incoming = meta.incoming
+        self_edges = self.meta_base + np.cumsum(m + 1) - 1
+        self._cross_start = self_edges - m
 
-        # edges in input order: every copy's self edge, then per gene its
-        # meta self edge followed by one edge from each of its copies in
-        # layer order
-        copies = np.arange(self.meta_base, dtype=np.intp)
-        by_gene = np.argsort(meta.copy_gene, kind="stable")
-        m = meta.incoming
-        star = np.repeat(meta_rows, m + 1)
-        star_m = np.repeat(m, m + 1)
-        is_self = np.zeros(star.size, dtype=bool)
-        is_self[np.arange(n_genes) + np.cumsum(m) - m] = True
-        star_src = star.copy()
-        star_src[~is_self] = (self.copy_offsets[meta.copy_layer] + meta.copy_local)[by_gene]
-        star_layer = np.full(star.size, -1, dtype=np.intp)
-        star_layer[~is_self] = meta.copy_layer[by_gene]
-
-        dst = np.concatenate([copies, star])
-        src = np.concatenate([copies, star_src])
-        base = np.concatenate([
-            np.ones(self.meta_base),
-            np.where(is_self, 1.0 / (star_m + 1), 1.0 / np.sqrt(star_m + 1.0)),
-        ])
-        gene_of = np.concatenate([
-            np.full(self.meta_base, -1, dtype=np.intp),
-            np.repeat(np.arange(n_genes, dtype=np.intp), m + 1),
-        ])
-        layer_of = np.concatenate([np.full(self.meta_base, -1, dtype=np.intp), star_layer])
-
+        dst = np.concatenate([np.arange(self.meta_base, dtype=np.intp),
+                              np.repeat(np.arange(self.meta_base, self.n_nodes), m + 1)])
+        self.is_cross = np.ones(dst.size, dtype=bool)
+        self.is_cross[:self.meta_base] = False
+        self.is_cross[self_edges] = False
+        src = dst.copy()
+        src[self.is_cross] = np.argsort(meta.copy_gene, kind="stable")  # copies by gene
         self.structure = ad.EdgeStructure(self.n_nodes, self.n_nodes, dst, src)
-        order = self.structure.order
-        self.base_weights = ad.constant(base[order][:, None], name="meta_base_weights")
-        self.gene_of_edge = gene_of[order]
-        self.layer_of_edge = layer_of[order]
-        self.is_cross = self.layer_of_edge >= 0
+        dhat = np.concatenate([np.ones(self.meta_base), np.repeat(m + 1.0, m + 1)])
+        base = np.where(self.is_cross, 1.0 / np.sqrt(dhat), 1.0 / dhat)
+        self.base_weights = ad.constant(base[:, None], name="meta_base_weights")
+        self.layer_of_edge = np.full(dst.size, -1, dtype=np.intp)
+        self.layer_of_edge[self.is_cross] = meta.copy_layer[src[self.is_cross]]
 
     def cross_edge_indices(self, gene_id: int) -> np.ndarray:
         """Positions (in structure order) of a gene's incoming meta-edges."""
-        return np.flatnonzero(self.is_cross & (self.gene_of_edge == gene_id))
+        start = self._cross_start[gene_id]
+        return np.arange(start, start + self._incoming[gene_id])
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,30 @@ class TestDiscover:
         assert len(rows) == 1  # header only: no candidate clears 1.01
 
 
+class TestDiscoverWithoutPositives:
+    @pytest.mark.parametrize("relabel", ["negative", "none"])
+    def test_exits_2_naming_the_labels_file(self, ws, tmp_path, capsys, relabel):
+        cfg = json.loads(ws["config"].read_text())
+        lines = Path(cfg["paths"]["labels"]).read_text().splitlines()
+        labels = tmp_path / "labels.tsv"
+        if relabel == "negative":
+            labels.write_text("".join(f"{line.split()[0]}\t0\n" for line in lines
+                                      if line and not line.startswith("#")))
+        else:
+            labels.write_text("# no labels\n")
+        cfg["paths"]["labels"] = str(labels)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("discover", "--config", cfg_path, "--checkpoint", ws["checkpoint"],
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert (f"error: {labels}: no labeled positive to pick a threshold from; "
+                "--threshold skips the selection") in err
+        assert "Traceback" not in err
+        assert run("discover", "--config", cfg_path, "--checkpoint", ws["checkpoint"],
+                   "--threshold", 0.5, "--out", tmp_path / "out") == 0
+
+
 def _count_calls(monkeypatch, module, name, calls):
     """Count calls to ``module.name`` through every package binding of it."""
     original = getattr(module, name)

@@ -171,6 +171,21 @@ class TestMetaGraph:
         cm = gnn._CompiledMeta(meta, [2], 3)
         assert cm.cross_edge_indices(2).size == 0
 
+    def test_edges_built_in_sum_order(self):
+        # gene 4 sits in no layer; gene 0 sits in all three
+        ds = build_dataset(n=5, layer_edges=[[(0, 1)], [(0, 2), (2, 3)], [(0, 3)]],
+                           layer_nodes=[[0, 1], [0, 2, 3], [0, 3]])
+        meta = gnn.build_meta_graph(ds)
+        assert meta.n_incoming(4) == 0
+        cm = gnn._CompiledMeta(meta, [lg.n_nodes for lg in ds.layers], ds.n_genes)
+        s = cm.structure
+        np.testing.assert_array_equal(s.order, np.arange(s.n_edges))
+        for g in range(ds.n_genes):
+            into_g = (s.dst == cm.meta_base + g) & (s.src != s.dst)
+            np.testing.assert_array_equal(cm.cross_edge_indices(g), np.flatnonzero(into_g))
+            assert cm.cross_edge_indices(g).size == meta.incoming[g]
+            assert cm.is_cross[cm.cross_edge_indices(g)].all()
+
     def test_isolated_gene_prediction_uses_own_features_only(self):
         # gene 2 sits in no layer: logit must track x_2 and ignore the rest
         ds = build_dataset(n=3, d=2, layer_edges=[[(0, 1)]], layer_nodes=[[0, 1]])
@@ -540,6 +555,36 @@ class TestMetaRowSuffix:
             [(i, i + 1) for i in range(30)],
         ], labels={i: i % 2 for i in range(20)})
         cfg = gnn.GnnConfig(encoder_layers=2, meta_layers=meta_layers)
+        params = gnn.init_params(cfg, ds.features.n_features, seed=7)
+        prep = gnn.prepare(cfg, ds)
+        cm = prep.compiled_meta
+        stack = gnn.encode(params, cfg, prep)[2]
+        multiplier = ad.variable(np.linspace(0.5, 1.5, cm.structure.n_edges)[:, None])
+
+        def run(suffix):
+            h = gnn._propagate(stack, cm.structure, cm.base_weights, params.meta_w,
+                               params.meta_a, cfg, multiplier,
+                               first_row=cm.meta_base if suffix else 0)
+            if not suffix:
+                h = ad.row_gather(h, np.arange(cm.meta_base, cm.n_nodes))
+            logits = gnn.head_logits(params, h)
+            grads = ad.backward(ad.row_gather(logits, [3]), params.tensors() + [multiplier])
+            return [logits.data.tobytes(), grads[multiplier].tobytes()] + [
+                grads[t].tobytes() for t in params.tensors()]
+
+        assert run(True) == run(False)
+
+    @pytest.mark.parametrize("meta_layers", [1, 2])
+    def test_gat_equals_every_row_then_gather_at_64_wide(self, meta_layers):
+        """The GAT twin of the test above: its last meta sum computes only the
+        meta rows, and the logits and every gradient match the every-row pass
+        followed by a gather, bit for bit."""
+        ds = build_dataset(n=50, d=64, layer_edges=[
+            [(i, (7 * i + 3) % 50) for i in range(50)],
+            [(i, (11 * i + 5) % 50) for i in range(0, 50, 2)],
+            [(i, i + 1) for i in range(30)],
+        ], labels={i: i % 2 for i in range(20)})
+        cfg = gnn.GnnConfig(arch="gat", encoder_layers=2, meta_layers=meta_layers)
         params = gnn.init_params(cfg, ds.features.n_features, seed=7)
         prep = gnn.prepare(cfg, ds)
         cm = prep.compiled_meta

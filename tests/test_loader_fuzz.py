@@ -271,7 +271,6 @@ def both_routes(load, block):
         mp.setattr(dm, "BLOCK_CHARS", block)
         bulk = outcome(load)
         mp.setattr(dm, "_pairs_in_bulk", lambda lines: None)
-        mp.setattr(dm, "_labels_in_bulk", lambda labels, gids, tags: False)
         mp.setattr(dm, "_features_in_bulk", lambda lines, d, index, seen: None)
         return bulk, outcome(load)
 
