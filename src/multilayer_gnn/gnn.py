@@ -29,49 +29,41 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _entry(name):
+    return property(lambda self: self._tensors[name])
+
+
+def _stage(stage, kind):
+    return property(lambda self: [t for name, t in self._tensors.items()
+                                  if name.startswith(stage) and name.endswith(kind)])
+
+
 class ModelParams:
     """Trainable weights: shared encoder, feature projection, meta GNN, head.
 
-    Shape chain: d_in -> hidden (x encoder_layers) -> meta_hidden
-    (x meta_layers) -> MLP with one hidden layer -> single logit.
+    One ordered ``name -> Tensor`` map, laid out as :func:`param_shapes`
+    lists it; that order is also the checkpoint order. The per-stage
+    attributes are read-only views of the map: ``enc_w``/``meta_w`` hold
+    each layer's weight and ``enc_a``/``meta_a`` its attention vector (empty
+    for GCN), and ``d_in`` is the row count of ``xproj.w``.
     """
 
-    def __init__(self, arch, d_in, enc_w, enc_a, xproj, meta_w, meta_a,
-                 head_w1, head_b1, head_w2, head_b2):
-        self.arch = arch
-        self.d_in = int(d_in)
-        self.enc_w = list(enc_w)
-        self.enc_a = list(enc_a)
-        self.xproj = xproj
-        self.meta_w = list(meta_w)
-        self.meta_a = list(meta_a)
-        self.head_w1 = head_w1
-        self.head_b1 = head_b1
-        self.head_w2 = head_w2
-        self.head_b2 = head_b2
+    enc_w, enc_a = _stage("enc", ".w"), _stage("enc", ".a")
+    meta_w, meta_a = _stage("meta", ".w"), _stage("meta", ".a")
+    xproj = _entry("xproj.w")
+    head_w1, head_b1 = _entry("head.w1"), _entry("head.b1")
+    head_w2, head_b2 = _entry("head.w2"), _entry("head.b2")
+    d_in = property(lambda self: self.xproj.shape[0])
+
+    def __init__(self, tensors):
+        self._tensors = dict(tensors)
 
     def named(self):
-        """Deterministic (name, tensor) order; also the checkpoint order."""
-        out = []
-        for i, w in enumerate(self.enc_w):
-            out.append((f"enc{i}.w", w))
-            if self.arch == GAT:
-                out.append((f"enc{i}.a", self.enc_a[i]))
-        out.append(("xproj.w", self.xproj))
-        for i, w in enumerate(self.meta_w):
-            out.append((f"meta{i}.w", w))
-            if self.arch == GAT:
-                out.append((f"meta{i}.a", self.meta_a[i]))
-        out.extend([
-            ("head.w1", self.head_w1),
-            ("head.b1", self.head_b1),
-            ("head.w2", self.head_w2),
-            ("head.b2", self.head_b2),
-        ])
-        return out
+        """``(name, tensor)`` pairs in checkpoint order."""
+        return list(self._tensors.items())
 
     def tensors(self):
-        return [t for _, t in self.named()]
+        return list(self._tensors.values())
 
     def copy(self):
         return self._rebuilt(lambda data, name: ad.variable(data.copy(), name=name))
@@ -82,24 +74,12 @@ class ModelParams:
         return self._rebuilt(ad.constant)
 
     def _rebuilt(self, make):
-        tensors = {name: make(t.data, name) for name, t in self.named()}
-        return type(self)._from_dict(self.arch, self.d_in, len(self.enc_w), len(self.meta_w),
-                                     tensors)
-
-    @classmethod
-    def _from_dict(cls, arch, d_in, n_enc, n_meta, tensors):
-        enc_w = [tensors[f"enc{i}.w"] for i in range(n_enc)]
-        enc_a = [tensors[f"enc{i}.a"] for i in range(n_enc)] if arch == GAT else []
-        meta_w = [tensors[f"meta{i}.w"] for i in range(n_meta)]
-        meta_a = [tensors[f"meta{i}.a"] for i in range(n_meta)] if arch == GAT else []
-        return cls(
-            arch, d_in, enc_w, enc_a, tensors["xproj.w"], meta_w, meta_a,
-            tensors["head.w1"], tensors["head.b1"], tensors["head.w2"], tensors["head.b2"],
-        )
+        return type(self)({name: make(t.data, name) for name, t in self._tensors.items()})
 
 
 def param_shapes(cfg: GnnConfig, d_in: int):
-    """``(name, (rows, cols))`` of every parameter, in checkpoint order."""
+    """``(name, (rows, cols))`` of every parameter, in checkpoint order: the
+    one layout, which :func:`init_params` draws and ``load_checkpoint`` reads."""
     h, mh = cfg.hidden_dim, cfg.meta_hidden_dim
     shapes = []
     for stage, n_layers, d_first, d in (("enc", cfg.encoder_layers, d_in, h),
@@ -121,11 +101,9 @@ def init_params(cfg: GnnConfig, d_in: int, seed: int) -> ModelParams:
     if d_in < 1:
         raise ConfigError("input feature dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in param_shapes(cfg, d_in):
-        bias = name.startswith("head.b")
-        tensors[name] = ad.variable(np.zeros(shape) if bias else _glorot(rng, *shape, shape))
-    return ModelParams._from_dict(cfg.arch, d_in, cfg.encoder_layers, cfg.meta_layers, tensors)
+    drawn = {name: np.zeros(shape) if name.startswith("head.b") else _glorot(rng, *shape, shape)
+             for name, shape in param_shapes(cfg, d_in)}
+    return ModelParams({name: ad.variable(data) for name, data in drawn.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -68,7 +67,8 @@ def stratified_split(labels: LabelSet, dataset: MultilayerDataset, test_layer: s
     class (floor rounding, remainder to the training side). The kept genes
     plus all labeled genes outside the test layer form a pool that splits
     (1 - val)/val per class into train/validation. Test genes never reach
-    train or validation.
+    train or validation. A ``test_frac`` that leaves the test set without a
+    positive raises DataError, since its AUPRC would be undefined.
     """
     lg = dataset.layer_by_name(test_layer)
     rng = np.random.default_rng(seed)
@@ -83,8 +83,14 @@ def stratified_split(labels: LabelSet, dataset: MultilayerDataset, test_layer: s
             raise DataError(
                 f"class {cls} has no labeled genes in test layer {test_layer!r}"
             )
+        n_test = _floor_frac(test_frac, members.size)
+        if cls == POSITIVE and not n_test:
+            raise DataError(
+                f"test_frac {test_frac} puts none of the {members.size} positive genes "
+                f"of test layer {test_layer!r} in the test set"
+            )
         members = members[rng.permutation(members.size)]
-        test[members[:_floor_frac(test_frac, members.size)]] = True
+        test[members[:n_test]] = True
 
     # the pool: the test layer's kept genes plus every labeled gene outside it
     train_ids, val_ids = [], []
@@ -177,12 +183,9 @@ class TrainReport:
     best_epoch: int = -1
     best_val_auprc: float = float("nan")
     test_auprc: float = float("nan")
-    wall_clock_sec: float = 0.0
 
-    def as_dict(self, include_timing=True):
+    def as_dict(self):
         d = asdict(self)
-        if not include_timing:
-            d.pop("wall_clock_sec")
         # degenerate validation splits record NaN scores; keep the JSON strict
         d["val_auprc"] = [None if math.isnan(v) else v for v in d["val_auprc"]]
         if math.isnan(d["best_val_auprc"]):
@@ -198,7 +201,6 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
           epochs: int = 2000, lr: float = 0.001, seed: int = 0,
           pos_weight: float = 1.0, loss_ids_observer=None):
     """Full-batch training; returns (best-validation params, report)."""
-    started = time.perf_counter()
     params = init_params(cfg, dataset.features.n_features, seed)
     prep = prepare(cfg, dataset)
 
@@ -258,7 +260,6 @@ def train(cfg: GnnConfig, dataset: MultilayerDataset, split: SplitSpec,
 
     final = run_model(best_params.constants(), cfg, prep)
     report.test_auprc = auprc(ad.sigmoid(final.logits.data[test_ids, 0]), test_targets)
-    report.wall_clock_sec = time.perf_counter() - started
     return best_params, report
 
 
@@ -308,9 +309,11 @@ class _Header:
 def load_checkpoint(path):
     """Returns (params, config, seed); bit-exact round trip of save.
 
-    Every malformed header field raises a CheckpointError naming the file
-    and the field, including a parameter name or shape that does not match
-    the header's config and ``d_in``.
+    The header's ``params`` must list the parameters in
+    :func:`~multilayer_gnn.gnn.param_shapes` order for its config and
+    ``d_in``: entry i is checked, name and shape, against position i of that
+    layout. Every malformed header field, an entry in another order
+    included, raises a CheckpointError naming the file and the field.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -341,33 +344,23 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: header field {err}") from err
     d_in, seed, entries = header["d_in"], header["seed"], header["params"]
     # every layer has a parameter: this bounds the work param_shapes does
-    if cfg.encoder_layers + cfg.meta_layers > len(entries):
+    layout = [] if cfg.encoder_layers + cfg.meta_layers > len(entries) else param_shapes(cfg, d_in)
+    if len(entries) != len(layout):
         raise CheckpointError(f"{path}: header field 'params' lists {len(entries)} parameters, "
-                              f"too few for the layers of its 'config'")
-    expected = dict(param_shapes(cfg, d_in))
-    shapes = [tuple(entry["shape"]) for entry in entries]
-    have, need = len(raw) - body_start, 8 * sum(rows * cols for rows, cols in shapes)
+                              f"not as many as its 'config' has")
+    for i, (entry, (name, shape)) in enumerate(zip(entries, layout)):
+        if entry["name"] != name:
+            raise CheckpointError(f"{path}: header field 'params[{i}].name' must be {name!r} "
+                                  f"for its 'config', got {entry['name']!r}")
+        if tuple(entry["shape"]) != shape:
+            raise CheckpointError(f"{path}: header field 'params[{i}].shape' must be "
+                                  f"{list(shape)} for {name!r}, got {entry['shape']}")
+    sizes = [rows * cols for _, (rows, cols) in layout]
+    have, need = len(raw) - body_start, 8 * sum(sizes)
     if have != need:
         raise CheckpointError(f"{path}: truncated or padded: header field 'params' lists "
                               f"{need} bytes of parameters, the file holds {have}")
 
-    tensors, offset = {}, body_start
-    for i, (entry, (rows, cols)) in enumerate(zip(entries, shapes)):
-        name = entry["name"]
-        if name not in expected:
-            raise CheckpointError(f"{path}: header field 'params[{i}].name' is not a parameter "
-                                  f"of the configured model, got {name!r}")
-        if (rows, cols) != expected[name]:
-            raise CheckpointError(f"{path}: header field 'params[{i}].shape' must be "
-                                  f"{list(expected[name])} for {name!r}, got {[rows, cols]}")
-        arr = np.frombuffer(raw, "<f8", rows * cols, offset).reshape(rows, cols).copy()
-        tensors[name] = ad.variable(arr, name=name)
-        offset += 8 * rows * cols
-
-    try:
-        params = ModelParams._from_dict(
-            cfg.arch, d_in, cfg.encoder_layers, cfg.meta_layers, tensors
-        )
-    except KeyError as err:
-        raise CheckpointError(f"{path}: parameter {err} missing from checkpoint") from err
-    return params, cfg, seed
+    blocks = np.split(np.frombuffer(raw, "<f8", offset=body_start), np.cumsum(sizes)[:-1])
+    return ModelParams({name: ad.variable(block.reshape(shape).copy(), name=name)
+                        for (name, shape), block in zip(layout, blocks)}), cfg, seed

@@ -464,6 +464,44 @@ class TestCheckpointParamShapes:
         assert shown in err
         assert "Traceback" not in err
 
+    def test_reordered_entries_exit_2(self, ws, tmp_path, capsys):
+        """Entries in another order than ``param_shapes`` are refused, so no
+        block of the body is read as another parameter."""
+        def edit(header):
+            entries = header["params"]
+            entries[0], entries[1] = entries[1], entries[0]
+            return header
+
+        bad = tmp_path / "bad.bin"
+        _rewrite_header(ws["checkpoint"], bad, edit)
+        assert run("discover", "--config", ws["config"], "--checkpoint", bad,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: header field 'params[0].name'" in err
+        assert "Traceback" not in err
+
+
+class TestTestSplitWithoutPositives:
+    """A ``test_frac`` that leaves the test set without a positive exits 2
+    before any training, naming the fraction and the layer."""
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--mode", "none"]],
+                             ids=["train", "ablate"])
+    def test_exit_2_before_training(self, ws, tmp_path, capsys, command):
+        cfg = json.loads(ws["config"].read_text())
+        cfg["training"]["test_frac"] = 0.01
+        cfg["training"]["epochs"] = 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(*command, "--config", cfg_path, "--out", out) == 2
+        err = capsys.readouterr().err
+        layer = cfg["training"]["test_layer"]
+        assert re.search(rf"test_frac 0\.01 puts none of the \d+ positive genes of test layer "
+                         rf"'{layer}' in the test set", err), err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
 
 def _rename_gene(src_dir, dst_dir, old, new):
     """Copy the data files of a synth run with gene ``old`` renamed ``new``."""

@@ -133,7 +133,7 @@ class TestEncodeLayers:
         ds = build_dataset(n=3, d=2, layer_edges=[[]], layer_nodes=[[0, 1, 2]])
         cfg = gnn.GnnConfig(encoder_layers=1, hidden_dim=2, meta_hidden_dim=2)
         params = gnn.init_params(cfg, 2, seed=0)
-        params.enc_w[0] = ad.variable(np.eye(2))
+        params.enc_w[0].data = np.eye(2)
         (h,) = gnn.encode_layers(params, cfg, ds)
         np.testing.assert_allclose(h.data, ds.features.values, atol=1e-12)
 

@@ -287,6 +287,19 @@ class TestCheckpoint:
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()
 
+    @pytest.mark.parametrize("arch, digest", [
+        ("gcn", "637408433edbbabe793b2cdb64bf4c6864dfc792dfbc5ff8b8111058293fe096"),
+        ("gat", "18afa4834af28342d3a690e462208c76d0ef12fd6b9577a2f2a1bc740fdfe819"),
+    ])
+    def test_saved_bytes_pinned(self, tmp_path, arch, digest):
+        """The initial weights' checkpoint bytes: the parameter layout and
+        the order the weights are drawn in, byte for byte."""
+        cfg = gnn.GnnConfig(arch=arch, encoder_layers=2, meta_layers=2, hidden_dim=5,
+                            meta_hidden_dim=4)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(gnn.init_params(cfg, 3, seed=7), cfg, seed=7, path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_truncated_file(self, tmp_path):
         cfg = gnn.GnnConfig(encoder_layers=1, hidden_dim=3, meta_hidden_dim=3)
         params = gnn.init_params(cfg, 2, seed=0)
